@@ -2,8 +2,9 @@
 
 Exit status contract
     0   success; for solve/oracle/verify, additionally all verdicts true
-    1   invalid flags or domain, or a verdict failed
-    2   continuation did not converge (partial results are still written)
+    1   invalid flags, domain or bundle, or a verdict failed
+    2   continuation did not converge: Newton stalled (solve still writes
+        the partial result) or met a singular Jacobian
 
 All numeric output goes through the 17-digit formatter in `io`, so repeated
 runs with identical flags produce byte-identical files.  Relative output
@@ -11,13 +12,16 @@ paths land in $ONELAP_OUT_DIR when that is set, the working directory
 otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override
 the file.
+
+`sweep --mode solver` solves all its strengths together, on one thread: each
+Newton iteration assembles and solves every strength still iterating in one
+batched call, and a strength that fails drops out alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ from .solver import (
     ProblemSpec,
     RadialGrid,
     RegularizationState,
+    SingularJacobian,
     continuation_solve,
     schedule_preset,
 )
@@ -245,6 +250,9 @@ def cmd_solve(args) -> int:
         print(f"continuation stalled at rung {exc.rung}: {exc}", file=sys.stderr)
         _write_bundle(base, grid, spec, exc.last, info, "solver", {"failed_rung": exc.rung})
         return 2
+    except SingularJacobian as exc:
+        print(f"continuation failed at rung {exc.rung}: singular Jacobian ({exc})", file=sys.stderr)
+        return 2
     rep = _write_bundle(base, grid, spec, sol, info, "solver")
     return 0 if rep.passed else 1
 
@@ -275,12 +283,27 @@ def cmd_oracle(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _meta_field(meta, key: str, kind):
+    """One typed field of a bundle's metadata; a missing or mistyped field
+    is bad input, not a crash."""
+    if not isinstance(meta, dict) or key not in meta:
+        raise _CliError(f"bundle metadata has no {key!r}")
+    try:
+        return kind(meta[key])
+    except (TypeError, ValueError):
+        raise _CliError(f"bundle metadata {key!r} is not a {kind.__name__}: {meta[key]!r}") from None
+
+
 def cmd_verify(args) -> int:
     rec = io.read_solution(args.input)
     meta = rec.meta
-    domain = DomainSpec(kind=meta["kind"], dim=int(meta["dim"]), radius=float(meta["radius"]))
-    spec = ProblemSpec(domain=domain, gamma=float(meta["gamma"]), source=float(meta["lam"]))
-    grid = RadialGrid.uniform(domain, int(meta["mesh"]))
+    domain = DomainSpec(
+        kind=_meta_field(meta, "kind", str),
+        dim=_meta_field(meta, "dim", int),
+        radius=_meta_field(meta, "radius", float),
+    )
+    spec = ProblemSpec(domain=domain, gamma=_meta_field(meta, "gamma", float), source=_meta_field(meta, "lam", float))
+    grid = RadialGrid.uniform(domain, _meta_field(meta, "mesh", int))
     if not np.array_equal(rec.r, grid.nodes) or not np.array_equal(rec.flux_r, grid.midpoints):
         raise GridMismatch("stored abscissae do not match the grid in the metadata")
     tol = Tolerances.for_solver() if meta.get("generator") == "solver" else Tolerances()
@@ -329,30 +352,22 @@ def cmd_sweep(args) -> int:
     grid = RadialGrid.uniform(domain, args.mesh)
     schedule = _schedule_for(args, args.mesh)
 
-    def run(lam):
-        spec = ProblemSpec(domain=domain, gamma=args.gamma, source=lam)
-        sol = continuation_solve(spec, schedule, grid)
-        rep = verify(sol, spec, grid, Tolerances.for_solver())
-        return sol, rep
-
-    with ThreadPoolExecutor(max_workers=min(4, len(lams))) as pool:
-        futures = [pool.submit(run, lam) for lam in lams]
-        results = []
-        failure = None
-        for lam, fut in zip(lams, futures):
-            try:
-                results.append((lam, *fut.result()))
-            except NonConvergence as exc:
-                print(f"lambda={lam:g} stalled at rung {exc.rung}", file=sys.stderr)
-                failure = exc
-        if failure is not None:
-            return 2
+    specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
+    results = continuation_solve(specs, schedule, grid)
+    for lam, sol in zip(lams, results):
+        if isinstance(sol, NonConvergence):
+            print(f"lambda={lam:g} stalled at rung {sol.rung}", file=sys.stderr)
+        elif isinstance(sol, SingularJacobian):
+            print(f"lambda={lam:g} failed at rung {sol.rung}: singular Jacobian ({sol})", file=sys.stderr)
+    if any(isinstance(sol, Exception) for sol in results):
+        return 2
 
     header = ["x"]
     cols = [x]
     reports = {}
     r_abs = np.abs(x)
-    for lam, sol, rep in results:  # index order, not completion order
+    for lam, spec, sol in zip(lams, specs, results):
+        rep = verify(sol, spec, grid, Tolerances.for_solver())
         header += [f"u_lam{lam:g}", f"res_lam{lam:g}"]
         cols.append(np.interp(r_abs, grid.nodes, sol.u))
         cols.append(np.interp(r_abs, grid.nodes, np.append(sol.residual, 0.0)))

@@ -24,7 +24,7 @@ unavoidable plateau residual stays well under the verifier's tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "AprioriReport",
     "NonConvergence",
     "SingularJacobian",
+    "BatchSolution",
     "regularized_flux",
     "regularized_flux_prime",
     "assemble_residual",
@@ -73,6 +74,10 @@ class NonConvergence(RuntimeError):
 class SingularJacobian(RuntimeError):
     """The tridiagonal system lost rank, typically eps too small for the
     current p on an exact plateau."""
+
+    def __init__(self, message, rung=None):
+        super().__init__(message)
+        self.rung = rung
 
 
 @dataclass(frozen=True)
@@ -244,102 +249,119 @@ def regularized_flux_prime(s, p: float, eps: float):
     return t ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
 
 
-def _check_iterate(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+def _strengths(spec) -> tuple:
+    """The problems of a batch: one ProblemSpec, or a sequence of them that
+    share the singular exponent (the absorption is evaluated once for all
+    rows)."""
+    if isinstance(spec, ProblemSpec):
+        return (spec,)
+    specs = tuple(spec)
+    if not specs:
+        raise ValueError("a batch needs at least one problem")
+    if any(s.gamma != specs[0].gamma for s in specs):
+        raise ValueError("a batch must share the singular exponent")
+    return specs
+
+
+def _check_iterate(grid: RadialGrid, u: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Validate one state vector, or `rows` of them stacked as a (rows, M+1)
+    array."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.mesh_size + 1,):
-        raise ValueError(f"state vector must have {grid.mesh_size + 1} nodes")
-    if not np.all(np.isfinite(u)):
+    shape = (grid.mesh_size + 1,) if rows is None else (rows, grid.mesh_size + 1)
+    if u.shape != shape:
+        raise ValueError(f"state must have shape {shape}, got {u.shape}")
+    if not np.isfinite(u).all():
         raise ValueError("state vector must be finite")
-    if u[-1] != 0.0:
+    if np.count_nonzero(u[..., -1]):
         raise ValueError("boundary node must be exactly zero")
     return u
 
 
 def _nodal_gradient_scale(D: np.ndarray, eps: float) -> np.ndarray:
-    """q_i = sqrt of the mean of the two adjacent squared slopes plus eps^2;
-    at the origin the reflected ghost slope makes the mean a plain square."""
-    q = np.empty(D.size)
-    q[0] = math.hypot(D[0], eps) if D.size else 0.0
-    if D.size > 1:
-        q[1:] = np.sqrt(0.5 * (D[:-1] ** 2 + D[1:] ** 2) + eps * eps)
+    """q_i = sqrt of the mean of the two adjacent squared slopes plus eps^2,
+    one row per strength; at the origin the reflected ghost slope makes the
+    mean a plain square."""
+    q = np.empty(D.shape)
+    for row, d in zip(q.reshape(-1, D.shape[-1]), D.reshape(-1, D.shape[-1])):
+        row[0] = math.hypot(d[0], eps)
+    q[..., 1:] = np.sqrt(0.5 * (D[..., :-1] ** 2 + D[..., 1:] ** 2) + eps * eps)
     return q
 
 
-def assemble_residual(
-    spec: ProblemSpec, state: RegularizationState, grid: RadialGrid, u: np.ndarray
-) -> np.ndarray:
-    """Nodal residual of the discrete rung equations at nodes 0..M-1.
+def _assemble(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, jacobian: bool):
+    """Nodal residual of the discrete rung equations at nodes 0..M-1 and,
+    when asked, its exact tridiagonal Jacobian in banded storage (rows:
+    super, diagonal, sub) over the unknowns u_0..u_{M-1}.
 
     residual_i = -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)
     with F the midpoint-weighted smoothed flux and F_{-1/2} = 0 (symmetry).
+
+    `spec` is one ProblemSpec with u of shape (M+1,), or K of them with u of
+    shape (K, M+1), one source row per strength.  The K Jacobians are then
+    stacked into one (3, K*M) banded matrix whose entries coupling adjacent
+    blocks are 0, so one banded solve serves every strength.
     """
-    u = _check_iterate(grid, u)
+    specs = _strengths(spec)
     if state.mesh_size != grid.mesh_size:
         raise ValueError("state and grid disagree on the mesh")
-    dr = grid.spacing
-    m = grid.mesh_size
-    D = np.diff(u) / dr
-    F = grid.midpoint_weights * regularized_flux(D, state.p, state.eps)
-    div = np.empty(m)
-    div[0] = F[0] / (grid.node_weights[0] * dr)
-    div[1:] = np.diff(F) / (grid.node_weights[1:m] * dr)
-    q = _nodal_gradient_scale(D, state.eps)
-    absorb = absorption_truncated(u[:m], state.n, spec.gamma) * q**state.p
-    g = truncate(spec.source_values(grid.nodes), float(state.n))
-    return -div + absorb - g[:m]
-
-
-def assemble_system(
-    spec: ProblemSpec, state: RegularizationState, grid: RadialGrid, u: np.ndarray
-):
-    """Residual plus its exact tridiagonal Jacobian in banded storage
-    (rows: super, diagonal, sub) over the unknowns u_0..u_{M-1}."""
-    u = _check_iterate(grid, u)
-    if state.mesh_size != grid.mesh_size:
-        raise ValueError("state and grid disagree on the mesh")
+    u = _check_iterate(grid, u, None if isinstance(spec, ProblemSpec) else len(specs))
     dr = grid.spacing
     m = grid.mesh_size
     p, eps, n = state.p, state.eps, state.n
+    gamma = specs[0].gamma
     D = np.diff(u) / dr
-    phi = regularized_flux(D, p, eps)
-    dphi = regularized_flux_prime(D, p, eps)
     mw = grid.midpoint_weights
     W = grid.node_weights[:m]
-    F = mw * phi
-    div = np.empty(m)
-    div[0] = F[0] / (W[0] * dr)
-    div[1:] = np.diff(F) / (W[1:] * dr)
+    F = mw * regularized_flux(D, p, eps)
+    div = np.empty(D.shape)
+    div[..., 0] = F[..., 0] / (W[0] * dr)
+    div[..., 1:] = np.diff(F) / (W[1:] * dr)
     q = _nodal_gradient_scale(D, eps)
-    h = absorption_truncated(u[:m], n, spec.gamma)
-    dh = absorption_truncated_prime(u[:m], n, spec.gamma)
+    h = absorption_truncated(u[..., :m], n, gamma)
     qp = q**p
-    g = truncate(spec.source_values(grid.nodes), float(n))
-    residual = -div + h * qp - g[:m]
+    g = np.concatenate([s.source_values(grid.nodes)[:m] for s in specs]).reshape(D.shape)
+    residual = -div + h * qp - truncate(g, float(n))
+    if not jacobian:
+        return residual
 
-    # flux sensitivities scaled into each row
-    c = mw * dphi  # one per midpoint
-    qpm2 = q ** (p - 2.0)
-    diag = np.empty(m)
-    sub = np.zeros(m)
-    sup = np.zeros(m)
+    # flux sensitivities scaled into each row, written straight into the
+    # banded rows: ab[0, ..., j] couples row j-1 to u_j, ab[2, ..., j] row j+1
+    c = mw * regularized_flux_prime(D, p, eps)  # one per midpoint
+    dh = absorption_truncated_prime(u[..., :m], n, gamma)
+    hq = h * p * q ** (p - 2.0)
+    ab = np.zeros((3,) + D.shape)
     # origin row: only the right midpoint enters, and q_0 = hypot(D_0, eps)
-    diag[0] = c[0] / (W[0] * dr * dr) + dh[0] * qp[0] - h[0] * p * qpm2[0] * D[0] / dr
-    if m > 1:
-        sup[0] = -c[0] / (W[0] * dr * dr) + h[0] * p * qpm2[0] * D[0] / dr
-        Wd = W[1:] * dr * dr
-        half = 0.5 / dr
-        diag[1:] = (
-            (c[1:] + c[:-1]) / Wd
-            + dh[1:] * qp[1:]
-            + h[1:] * p * qpm2[1:] * (D[:-1] - D[1:]) * half
-        )
-        sub[1:] = -c[:-1] / Wd - h[1:] * p * qpm2[1:] * D[:-1] * half
-        sup[1:] = -c[1:] / Wd + h[1:] * p * qpm2[1:] * D[1:] * half
-    ab = np.zeros((3, m))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return residual, ab
+    c0 = c[..., 0] / (W[0] * dr * dr)
+    slope0 = hq[..., 0] * D[..., 0] / dr
+    ab[1, ..., 0] = c0 + dh[..., 0] * qp[..., 0] - slope0
+    ab[0, ..., 1] = -c0 + slope0
+    Wd = W[1:] * dr * dr
+    half = 0.5 / dr
+    hq = hq[..., 1:]
+    ab[1, ..., 1:] = (
+        (c[..., 1:] + c[..., :-1]) / Wd
+        + dh[..., 1:] * qp[..., 1:]
+        + hq * (D[..., :-1] - D[..., 1:]) * half
+    )
+    ab[2, ..., :-1] = -c[..., :-1] / Wd - hq * D[..., :-1] * half
+    ab[0, ..., 2:] = -c[..., 1:-1] / Wd[:-1] + hq[..., :-1] * D[..., 1:-1] * half
+    return residual, ab.reshape(3, -1)
+
+
+def assemble_residual(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """Nodal residual of the discrete rung equations; see `assemble_system`,
+    which returns the same residual bits together with the Jacobian."""
+    return _assemble(spec, state, grid, u, jacobian=False)
+
+
+def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray):
+    """Residual plus its exact tridiagonal Jacobian in banded storage.
+
+    For one ProblemSpec and u of shape (M+1,): a residual of shape (M,) and
+    a (3, M) banded matrix.  For K specs and u of shape (K, M+1): residuals
+    of shape (K, M) and the K Jacobians stacked block-diagonally as (3, K*M).
+    """
+    return _assemble(spec, state, grid, u, jacobian=True)
 
 
 def reconstruct_flux(state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -353,23 +375,82 @@ def _row_allowance(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Smallest residual each row can express: moving one unknown by an ulp
     changes row i by up to rowsum|J_i| ulp(u).  On plateau rows the flux
     slope is phi'(0) ~ eps^(p-2), so this floor dwarfs any fixed tolerance;
-    on moving rows it stays near machine precision."""
-    rowsum = np.abs(ab[1]).copy()
+    on moving rows it stays near machine precision.  `ab` holds the stacked
+    Jacobians of the K states in u (shape (K, M+1)); their zero coupling
+    entries add nothing across blocks."""
+    rowsum = np.abs(ab[1])
     rowsum[:-1] += np.abs(ab[0][1:])
     rowsum[1:] += np.abs(ab[2][:-1])
-    scale = 4.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(u))))
-    return scale * rowsum
+    scale = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(u).max(axis=1))
+    return scale[:, None] * rowsum.reshape(u.shape[0], -1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed by numpy rather than by a BLAS dot
+    product: above 10 000 elements that wakes BLAS worker threads, which
+    then spin without helping."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _newton_steps(ab: np.ndarray, residual: np.ndarray):
+    """Solve the K stacked tridiagonal systems for the (K, M) right-hand
+    sides -residual in one banded solve.
+
+    With the coupling entries 0, LAPACK's gtsv never pivots across a block
+    boundary and eliminates with a zero multiplier there, so each block gets
+    exactly its own solution.  A singular block stops that sweep, and a block
+    whose elimination overflows leaks NaN into the next one (0 * inf), so in
+    either case the blocks are solved one at a time and only the bad ones
+    fail.  Returns the steps and a {row: SingularJacobian} map."""
+    k, m = residual.shape
+    try:
+        step = solve_banded((1, 1), ab, -residual.ravel()).reshape(k, m)
+        if np.isfinite(step).all():
+            return step, {}
+    except np.linalg.LinAlgError:
+        pass
+    blocks = ab.reshape(3, k, m)
+    step = np.zeros((k, m))
+    failed = {}
+    for j in range(k):
+        try:
+            step[j] = solve_banded((1, 1), blocks[:, j], -residual[j])
+        except np.linalg.LinAlgError as exc:
+            failed[j] = SingularJacobian(str(exc))
+            continue
+        if not np.isfinite(step[j]).all():
+            failed[j] = SingularJacobian("non-finite Newton step")
+    return step, failed
+
+
+def _one(result):
+    """The K=1 case of a batched result: the solution, or its exception
+    raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+@dataclass(frozen=True)
+class BatchSolution:
+    """One rung solved for K strengths at once.  `results` holds, in input
+    order, each strength's DiscreteSolution or the exception that ended it
+    alone (NonConvergence or SingularJacobian); `iterations` is the largest
+    per-strength iteration count, the number of batched iterations."""
+
+    results: tuple
+    iterations: int
 
 
 def newton_solve(
-    spec: ProblemSpec,
+    spec,
     state: RegularizationState,
     grid: RadialGrid,
     u0: np.ndarray,
     tol: float = 1e-9,
     step_tol: float = 1e-12,
     max_iter: int = 200,
-) -> DiscreteSolution:
+):
     """Damped Newton on the rung equations from the iterate u0.
 
     Convergence is row-wise: every residual entry must drop below tol or
@@ -380,74 +461,106 @@ def newton_solve(
     allowance-weighted residual 2-norm; the weighting keeps plateau
     quantization noise at O(1) per row so progress on the few genuinely
     unconverged rows stays visible.  A dead end raises NonConvergence.
+
+    Given K specs and u0 of shape (K, M+1), the K strengths iterate
+    together: each iteration assembles and solves the strengths still
+    iterating in one call each, while every strength keeps its own stop
+    test, damping and backtracking.  A strength that converges waits; one
+    that stalls or meets a singular Jacobian drops out alone.  The result is
+    a BatchSolution.  One spec is the K=1 case: its DiscreteSolution is
+    returned and its exception raised.
     """
-    u = _check_iterate(grid, u0).copy()
+    specs = _strengths(spec)
+    single = isinstance(spec, ProblemSpec)
     m = grid.mesh_size
-    reason = None
+    results = [None] * len(specs)
+    counts = [0] * len(specs)
+
+    def finish(i, u, residual, its, rmax, reason):
+        counts[i] = its
+        sol = DiscreteSolution(
+            u=u.copy(),
+            z=reconstruct_flux(state, grid, u),
+            residual=residual.copy(),
+            state=state,
+            converged=reason != "stalled",
+            iterations=its,
+            residual_norm=float(rmax),
+            stop_reason=reason,
+        )
+        if reason == "stalled":
+            sol = NonConvergence(
+                f"Newton stalled at residual {rmax:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
+                last=sol,
+            )
+        results[i] = sol
+
+    # rows[j] is the strength held in row j of u, residual, ab and rmax;
+    # rows leave these arrays as their strengths finish
+    rows = np.arange(len(specs))
+    u = _check_iterate(grid, u0, None if single else len(specs)).reshape(len(specs), -1).copy()
+    residual, ab = assemble_system(specs, state, grid, u)
+    rmax = np.abs(residual).max(axis=1)
     its = 0
-    residual, ab = assemble_system(spec, state, grid, u)
-    rmax = float(np.max(np.abs(residual)))
     for its in range(1, max_iter + 1):
         allow = np.maximum(tol, _row_allowance(ab, u))
-        if np.all(np.abs(residual) <= allow):
-            reason = "residual" if rmax <= tol else "float_floor"
-            its -= 1
-            break
-        try:
-            step = solve_banded((1, 1), ab, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        if np.max(np.abs(step)) <= step_tol * (1.0 + np.max(np.abs(u))):
-            reason = "stagnation"
-            its -= 1
-            break
-        rnorm = float(np.linalg.norm(residual / allow))
-        alpha = 1.0
-        accepted = False
-        for _ in range(50):
-            trial = u.copy()
-            trial[:m] += alpha * step
-            trial_res = assemble_residual(spec, state, grid, trial)
-            tnorm = float(np.linalg.norm(trial_res / allow))
-            if tnorm < rnorm and tnorm <= (1.0 - 1e-4 * alpha) * rnorm:
-                u = trial
-                accepted = True
+        done = (np.abs(residual) <= allow).all(axis=1)
+        if any(done):
+            for j in np.flatnonzero(done):
+                finish(rows[j], u[j], residual[j], its - 1, rmax[j], "residual" if rmax[j] <= tol else "float_floor")
+            if all(done):
                 break
+            go = ~done
+            ab = ab.reshape(3, go.size, m)[:, go].reshape(3, -1)
+            rows, u, residual, rmax, allow = rows[go], u[go], residual[go], rmax[go], allow[go]
+        step, failed = _newton_steps(ab, residual)
+        stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(u).max(axis=1))
+        stop[list(failed)] = True
+        if any(stop):
+            for j in np.flatnonzero(stop):
+                if j in failed:
+                    counts[rows[j]] = its - 1
+                    results[rows[j]] = failed[j]
+                else:
+                    finish(rows[j], u[j], residual[j], its - 1, rmax[j], "stagnation")
+            if all(stop):
+                break
+            go = ~stop
+            rows, u, residual, rmax, allow, step = rows[go], u[go], residual[go], rmax[go], allow[go], step[go]
+        rnorm = _row_norms(residual / allow)
+        # rows still trying (held at pos of u) have all failed the same
+        # number of halvings, so they share alpha
+        alpha = 1.0
+        accepted = np.zeros(rows.size, dtype=bool)
+        pos = np.arange(rows.size)
+        for _ in range(50):
+            trial = u[pos]
+            trial[:, :m] += alpha * step
+            tnorm = _row_norms(assemble_residual(tuple(specs[i] for i in rows[pos]), state, grid, trial) / allow)
+            ok = (tnorm < rnorm) & (tnorm <= (1.0 - 1e-4 * alpha) * rnorm)
+            if any(ok):
+                u[pos[ok]] = trial[ok]
+                accepted[pos[ok]] = True
+                if all(ok):
+                    break
+                pos, step, allow, rnorm = pos[~ok], step[~ok], allow[~ok], rnorm[~ok]
             alpha *= 0.5
-        if not accepted:
-            break
-        residual, ab = assemble_system(spec, state, grid, u)
-        rmax = float(np.max(np.abs(residual)))
-    if reason is None:
-        if rmax <= tol:
-            reason = "residual"
-        else:
-            raise NonConvergence(
-                f"Newton stalled at residual {rmax:.3e} "
-                f"(p={state.p}, n={state.n}, eps={state.eps})",
-                last=DiscreteSolution(
-                    u=u,
-                    z=reconstruct_flux(state, grid, u),
-                    residual=residual,
-                    state=state,
-                    converged=False,
-                    iterations=its,
-                    residual_norm=rmax,
-                    stop_reason="stalled",
-                ),
-            )
-    return DiscreteSolution(
-        u=u,
-        z=reconstruct_flux(state, grid, u),
-        residual=residual,
-        state=state,
-        converged=True,
-        iterations=its,
-        residual_norm=rmax,
-        stop_reason=reason,
-    )
+        if not all(accepted):
+            # a line-search dead end ends the strength on its last iterate
+            for j in np.flatnonzero(~accepted):
+                finish(rows[j], u[j], residual[j], its, rmax[j], "residual" if rmax[j] <= tol else "stalled")
+            if not any(accepted):
+                break
+            rows, u = rows[accepted], u[accepted]
+        residual, ab = assemble_system(tuple(specs[i] for i in rows), state, grid, u)
+        rmax = np.abs(residual).max(axis=1)
+    else:
+        # out of iterations
+        for j, i in enumerate(rows):
+            finish(i, u[j], residual[j], its, rmax[j], "residual" if rmax[j] <= tol else "stalled")
+    if single:
+        return _one(results[0])
+    return BatchSolution(results=tuple(results), iterations=max(counts))
 
 
 def plateau_extent(grid: RadialGrid, u: np.ndarray, slope_floor: float = 1e-6) -> float:
@@ -473,14 +586,22 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
     )
 
 
-def continuation_solve(
-    spec: ProblemSpec, schedule: ContinuationSchedule, grid: RadialGrid
-) -> DiscreteSolution:
+def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     """Solve the schedule in order, warm-starting each rung, and return the
-    final rung's solution with a full per-rung history attached."""
-    u = np.zeros(grid.mesh_size + 1)
-    history = []
-    sol = None
+    final rung's solution with a full per-rung history attached.
+
+    Given a sequence of K specs sharing the singular exponent, the strengths
+    climb the ladder together, one batched `newton_solve` per rung, and the
+    result is a list in input order holding each strength's final solution
+    or the NonConvergence / SingularJacobian, with its `rung` set, that
+    stopped it; the others carry on.  One spec is the K=1 case: its solution
+    is returned and its exception raised.
+    """
+    specs = _strengths(spec)
+    u = np.zeros((len(specs), grid.mesh_size + 1))
+    histories = [[] for _ in specs]
+    results = [None] * len(specs)
+    rows = list(range(len(specs)))  # strengths still climbing
     prev_eps = None
     for k, st in enumerate(schedule.states):
         # A sub-threshold state is regularization dust: on the trivial branch
@@ -488,47 +609,48 @@ def continuation_solve(
         # eps drops.  Otherwise the stale slopes sit far above the new eps,
         # the flux saturates, and Newton overshoots toward a spurious bump.
         if prev_eps is not None and st.eps < prev_eps:
-            if float(np.max(np.abs(u))) <= 1e-4:
-                u = u * (st.eps / prev_eps)
+            for i in rows:
+                if float(np.max(np.abs(u[i]))) <= 1e-4:
+                    u[i] = u[i] * (st.eps / prev_eps)
         prev_eps = st.eps
-        try:
-            sol = newton_solve(
-                spec,
-                st,
-                grid,
-                u,
-                tol=schedule.newton_tol,
-                step_tol=schedule.step_tol,
-                max_iter=schedule.max_iter,
-            )
-        except NonConvergence as exc:
-            exc.rung = k
-            raise
-        u = sol.u
-        history.append(
-            RungReport(
-                index=k,
-                state=st,
-                iterations=sol.iterations,
-                residual_norm=sol.residual_norm,
-                stop_reason=sol.stop_reason,
-                sup_norm=float(np.max(np.abs(u))),
-                gradient_mass=gradient_mass(grid, u, st.p),
-                plateau_radius=plateau_extent(grid, u),
-                solution=sol,
-            )
+        batch = newton_solve(
+            tuple(specs[i] for i in rows),
+            st,
+            grid,
+            u[rows],
+            tol=schedule.newton_tol,
+            step_tol=schedule.step_tol,
+            max_iter=schedule.max_iter,
         )
-    return DiscreteSolution(
-        u=sol.u,
-        z=sol.z,
-        residual=sol.residual,
-        state=sol.state,
-        converged=True,
-        iterations=sol.iterations,
-        residual_norm=sol.residual_norm,
-        stop_reason=sol.stop_reason,
-        history=tuple(history),
-    )
+        climbing = []
+        for i, sol in zip(rows, batch.results):
+            results[i] = sol
+            if isinstance(sol, Exception):
+                sol.rung = k
+                continue
+            u[i] = sol.u
+            histories[i].append(
+                RungReport(
+                    index=k,
+                    state=st,
+                    iterations=sol.iterations,
+                    residual_norm=sol.residual_norm,
+                    stop_reason=sol.stop_reason,
+                    sup_norm=float(np.max(np.abs(sol.u))),
+                    gradient_mass=gradient_mass(grid, sol.u, st.p),
+                    plateau_radius=plateau_extent(grid, sol.u),
+                    solution=sol,
+                )
+            )
+            climbing.append(i)
+        rows = climbing
+        if not rows:
+            break
+    for i in rows:
+        results[i] = replace(results[i], history=tuple(histories[i]))
+    if isinstance(spec, ProblemSpec):
+        return _one(results[0])
+    return results
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from onelap import cli, io
+from onelap import cli, io, solver
 from onelap.geometry import DomainSpec
-from onelap.solver import RadialGrid
-from onelap.verify import Tolerances
+from onelap.solver import ProblemSpec, RadialGrid, continuation_solve, schedule_preset
+from onelap.verify import Tolerances, verify
 
 
 @pytest.fixture(autouse=True)
@@ -259,6 +259,89 @@ def test_sweep_solver_mode(tmp_path):
     assert header == ["x", "u_lam4", "res_lam4"]
     reports = io.read_json(tmp_path / "sw_reports.json")
     assert reports["4"]["passed"] is True
+
+
+def _sweep(tmp_path, lams, mesh):
+    return cli.main(["sweep", "--mode", "solver", "--dim", "1", "--lambdas", lams, "--samples", "41",
+                     "--mesh", str(mesh), "--output", str(tmp_path / "sw")])
+
+
+def test_sweep_solver_batch_matches_single_solves(tmp_path):
+    assert _sweep(tmp_path, "1.5,3,5,7", 400) == 0
+    header, cols = io.read_csv(tmp_path / "sw.csv")
+    table = dict(zip(header, cols))
+    reports = io.read_json(tmp_path / "sw_reports.json")
+    domain = DomainSpec("ball", 1)
+    grid = RadialGrid.uniform(domain, 400)
+    r = np.abs(table["x"])
+    for lam in (1.5, 3.0, 5.0, 7.0):
+        spec = ProblemSpec(domain, gamma=1.0, source=lam)
+        sol = continuation_solve(spec, schedule_preset("default", 400), grid)
+        assert np.array_equal(table[f"u_lam{lam:g}"], np.interp(r, grid.nodes, sol.u))
+        assert np.array_equal(table[f"res_lam{lam:g}"], np.interp(r, grid.nodes, np.append(sol.residual, 0.0)))
+        want = io.write_json(tmp_path / "want.json", cli._report_payload(verify(sol, spec, grid, Tolerances.for_solver())))
+        assert reports[f"{lam:g}"] == io.read_json(want)
+
+
+def test_sweep_names_only_the_stalled_strength(tmp_path, capsys):
+    # dim 1 at lam = 6 stalls at rung 8 on this mesh; lam = 4 converges
+    assert _sweep(tmp_path, "4,6", 500) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["lambda=6 stalled at rung 8"]
+    assert not (tmp_path / "sw.csv").exists()
+    assert not (tmp_path / "sw_reports.json").exists()
+
+
+def _singular_at(lam, mesh, monkeypatch):
+    """Make the banded solve refuse any system holding the block of the
+    strength `lam` at the zero start, where its right-hand side is lam;
+    every system when lam is None."""
+    real = solver.solve_banded
+
+    def fake(lu, ab, b):
+        if lam is None or np.any(b.reshape(-1, mesh)[:, 0] == lam):
+            raise np.linalg.LinAlgError("singular matrix")
+        return real(lu, ab, b)
+
+    monkeypatch.setattr(solver, "solve_banded", fake)
+
+
+def test_sweep_singular_jacobian_exits_two(tmp_path, capsys, monkeypatch):
+    _singular_at(3.0, 200, monkeypatch)
+    assert _sweep(tmp_path, "2,3", 200) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["lambda=3 failed at rung 0: singular Jacobian (singular matrix)"]
+    assert not (tmp_path / "sw.csv").exists()
+
+
+def test_solve_singular_jacobian_exits_two(tmp_path, capsys, monkeypatch):
+    _singular_at(None, 100, monkeypatch)
+    rc = cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "100",
+                   "--output", str(tmp_path / "sol")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["continuation failed at rung 0: singular Jacobian (singular matrix)"]
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [("kind", _MISSING), ("dim", _MISSING), ("mesh", _MISSING),
+                                        ("lam", _MISSING), ("lam", None), ("dim", [1])])
+def test_verify_malformed_bundle_exits_one(tmp_path, capsys, key, value):
+    assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "100",
+                     "--output", str(tmp_path / "orc")]) == 0
+    meta_path = tmp_path / "orc.meta.json"
+    meta = io.read_json(meta_path)
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    io.write_json(meta_path, meta)
+    capsys.readouterr()
+    assert cli.main(["verify", "--input", str(tmp_path / "orc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bundle metadata") and repr(key) in err
 
 
 def test_cheeger_json_record(capsys):

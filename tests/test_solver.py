@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from onelap import solver
 from onelap.oracle import profile
 from onelap.solver import (
     ContinuationSchedule,
     DomainSpec,
     NonConvergence,
+    SingularJacobian,
     ProblemSpec,
     RadialGrid,
     RegularizationState,
@@ -263,6 +265,78 @@ def test_trivial_regime_collapses_to_dust():
     sol = continuation_solve(spec, schedule_preset("default", 500), grid)
     assert float(np.max(np.abs(sol.u))) <= 1e-6
     assert sol.history[-1].plateau_radius == 1.0
+
+
+def _rung_trace(sol):
+    return [(h.iterations, h.stop_reason, h.residual_norm, h.sup_norm) for h in sol.history]
+
+
+def test_batched_continuation_matches_single_solves():
+    # one strength on the trivial branch, one converging, one that stalls at
+    # rung 8 after max_iter iterations: each must come out of the batch
+    # exactly as it comes out of its own solve
+    dom = DomainSpec("ball", 1, 1.0)
+    grid = RadialGrid.uniform(dom, 500)
+    sched = schedule_preset("default", 500)
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (0.5, 4.0, 6.0)]
+    batch = continuation_solve(specs, sched, grid)
+    assert len(batch) == 3
+    for spec, got in zip(specs, batch):
+        try:
+            want = continuation_solve(spec, sched, grid)
+        except NonConvergence as exc:
+            assert spec.source == 6.0
+            assert isinstance(got, NonConvergence) and got.rung == exc.rung == 8
+            got, want = got.last, exc.last
+        else:
+            assert _rung_trace(got) == _rung_trace(want)
+            assert len(got.history) == len(sched.states)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.residual, want.residual)
+        assert np.array_equal(got.z, want.z)
+        assert (got.iterations, got.stop_reason, got.residual_norm) == (
+            want.iterations, want.stop_reason, want.residual_norm)
+
+
+@pytest.mark.parametrize("failure", ["singular", "non-finite"])
+def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
+    # the fake solve breaks the lam = 3 block at the zero start (right-hand
+    # side -residual = lam there): it refuses any system holding that block,
+    # or returns NaN in it; the stacked solve then falls back to one block
+    # at a time and only that strength fails
+    grid = RadialGrid.uniform(INTERVAL, 64)
+    st = _state(mesh=64)
+    specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in (2.0, 3.0, 4.0)]
+    real = solver.solve_banded
+
+    def fake(lu, ab, b):
+        bad = b.reshape(-1, 64)[:, 0] == 3.0
+        if bad.any() and failure == "singular":
+            raise np.linalg.LinAlgError("singular matrix")
+        x = real(lu, ab, b).reshape(-1, 64)
+        x[bad] = np.nan
+        return x.ravel()
+
+    monkeypatch.setattr(solver, "solve_banded", fake)
+    batch = newton_solve(specs, st, grid, np.zeros((3, 65)))
+    assert isinstance(batch.results[1], SingularJacobian)
+    assert str(batch.results[1]) == {"singular": "singular matrix", "non-finite": "non-finite Newton step"}[failure]
+    for k in (0, 2):
+        want = newton_solve(specs[k], st, grid, np.zeros(65))
+        assert np.array_equal(batch.results[k].u, want.u)
+        assert batch.results[k].iterations == want.iterations
+    assert batch.iterations == max(batch.results[k].iterations for k in (0, 2))
+    with pytest.raises(SingularJacobian) as info:
+        continuation_solve(specs[1], ContinuationSchedule((st,)), grid)
+    assert info.value.rung == 0
+
+
+def test_batch_rejects_mixed_exponents_and_bad_shapes():
+    grid = RadialGrid.uniform(INTERVAL, 64)
+    specs = [ProblemSpec(INTERVAL, gamma=1.0, source=2.0), ProblemSpec(INTERVAL, gamma=2.0, source=2.0)]
+    with pytest.raises(ValueError, match="singular exponent"):
+        assemble_residual(specs, _state(mesh=64), grid, np.zeros((2, 65)))
+    with pytest.raises(ValueError, match="shape"):
+        assemble_residual(specs[:1], _state(mesh=64), grid, np.zeros(65))
 
 
 def test_solve_problem_front_door():
