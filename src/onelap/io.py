@@ -52,19 +52,30 @@ def default_output_dir() -> Path:
     return Path(os.environ.get("ONELAP_OUT_DIR", "."))
 
 
+# rows formatted per string operation: enough to amortize the formatting
+# call, few enough that the text of one block stays small next to the table
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Path:
+    """Header line, then one row per index with every value written by
+    `format_float`."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(header) != len(cols):
         raise ValueError("one header entry per column")
     if len({c.size for c in cols}) != 1:
         raise ValueError("columns must share a length")
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(format_float(v) for v in row))
+    # "%.17g" % x is the same text as format_float(x) for every double,
+    # including -0, subnormals, inf and nan
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    table = np.stack(cols, axis=1)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     return path
 
 

@@ -72,6 +72,18 @@ def remainder(s, k):
     return _ret(a - np.clip(a, -float(k), float(k)), scalar)
 
 
+def _branch_inverse(a, nf: float, g: float):
+    """base = 1 - min(s, 1) and inv = 1/(base^gamma + 1/n), the middle
+    branch of the truncated absorption; base is clamped at 0 so that s > 1
+    never produces a negative power argument."""
+    base = np.minimum(a, 1.0)
+    np.subtract(1.0, base, out=base)
+    inv = base**g
+    inv += 1.0 / nf
+    np.divide(1.0, inv, out=inv)
+    return base, inv
+
+
 def absorption_truncated(s, n, gamma):
     """Bounded absorption coefficient at truncation level n.
 
@@ -88,15 +100,16 @@ def absorption_truncated(s, n, gamma):
     nf = _check_level(n)
     g = _check_gamma(gamma)
     a, scalar = _as_array(s)
-    # base clamped at 0 so that s > 1 never produces a negative power argument
-    base = 1.0 - np.minimum(a, 1.0)
-    inv = 1.0 / (base**g + 1.0 / nf)
-    out = np.where(
-        a >= 1.0,
-        nf,
-        np.where(a >= 1.0 / nf, inv, np.where(a >= 0.0, nf * a * inv, 0.0)),
-    )
-    return _ret(out, scalar)
+    shape = a.shape
+    a = a.reshape(shape or (1,))  # the masked writes below need an array
+    # the 1/n <= s < 1 branch everywhere, then the other branches written
+    # over their entries; NaN lands on the zero branch
+    out = _branch_inverse(a, nf, g)[1]
+    low = a < 1.0 / nf
+    out[low] = nf * a[low] * out[low]
+    out[~(a >= 0.0)] = 0.0
+    out[a >= 1.0] = nf
+    return _ret(out.reshape(shape), scalar)
 
 
 def absorption_truncated_prime(s, n, gamma):
@@ -106,19 +119,21 @@ def absorption_truncated_prime(s, n, gamma):
     nf = _check_level(n)
     g = _check_gamma(gamma)
     a, scalar = _as_array(s)
-    base = 1.0 - np.minimum(a, 1.0)
-    inv = 1.0 / (base**g + 1.0 / nf)
-    # d/ds of 1/((1-s)^g + 1/n) is g (1-s)^(g-1) inv^2; guard the g < 1
-    # case against a zero base at s = 1 (that branch is not selected there).
-    pow_gm1 = np.where(base > 0.0, base ** (g - 1.0), 0.0)
-    d_inv = g * pow_gm1 * inv * inv
-    d_low = nf * inv + nf * a * d_inv
-    out = np.where(
-        a >= 1.0,
-        0.0,
-        np.where(a >= 1.0 / nf, d_inv, np.where(a >= 0.0, d_low, 0.0)),
-    )
-    return _ret(out, scalar)
+    shape = a.shape
+    a = a.reshape(shape or (1,))
+    base, inv = _branch_inverse(a, nf, g)
+    # d/ds of 1/((1-s)^g + 1/n) is g (1-s)^(g-1) inv^2, the 1/n <= s < 1
+    # branch; where s >= 1 a zero base makes it inf or nan for g < 1, but
+    # those entries are overwritten below
+    out = base
+    out **= g - 1.0
+    out *= g
+    out *= inv
+    out *= inv
+    low = a < 1.0 / nf
+    out[low] = nf * inv[low] + nf * a[low] * out[low]
+    out[~((a >= 0.0) & (a < 1.0))] = 0.0
+    return _ret(out.reshape(shape), scalar)
 
 
 def absorption_exact(s, gamma):

@@ -239,14 +239,24 @@ class ContinuationSchedule:
 def regularized_flux(s, p: float, eps: float):
     """Smoothed p-flux phi(s) = (s^2 + eps^2)^((p-2)/2) s."""
     s = np.asarray(s, dtype=float)
-    return (s * s + eps * eps) ** ((p - 2.0) / 2.0) * s
+    out = s * s
+    out += eps * eps
+    out **= (p - 2.0) / 2.0
+    out *= s
+    return out
 
 
 def regularized_flux_prime(s, p: float, eps: float):
     """phi'(s) = (s^2 + eps^2)^((p-4)/2) ((p-1) s^2 + eps^2), positive."""
     s = np.asarray(s, dtype=float)
-    t = s * s + eps * eps
-    return t ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
+    out = s * s
+    out += eps * eps
+    out **= (p - 4.0) / 2.0
+    w = (p - 1.0) * s
+    w *= s
+    w += eps * eps
+    out *= w
+    return out
 
 
 def _strengths(spec) -> tuple:
@@ -284,84 +294,193 @@ def _nodal_gradient_scale(D: np.ndarray, eps: float) -> np.ndarray:
     q = np.empty(D.shape)
     for row, d in zip(q.reshape(-1, D.shape[-1]), D.reshape(-1, D.shape[-1])):
         row[0] = math.hypot(d[0], eps)
-    q[..., 1:] = np.sqrt(0.5 * (D[..., :-1] ** 2 + D[..., 1:] ** 2) + eps * eps)
+    sq = D * D
+    inner = q[..., 1:]
+    np.add(sq[..., :-1], sq[..., 1:], out=inner)
+    inner *= 0.5
+    inner += eps * eps
+    np.sqrt(inner, out=inner)
     return q
 
 
-def _assemble(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, jacobian: bool):
-    """Nodal residual of the discrete rung equations at nodes 0..M-1 and,
-    when asked, its exact tridiagonal Jacobian in banded storage (rows:
-    super, diagonal, sub) over the unknowns u_0..u_{M-1}.
+def _fv_divergence(F: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Finite-volume divergence of the midpoint fluxes F (weighted by
+    r^(N-1), one row of M per strength) over the cells of nodes 0..M-1:
+    (F_{i+1/2} - F_{i-1/2}) / (W_i dr), with F_{-1/2} = 0 by symmetry.
+    `volumes` holds the cell volumes W_i dr (`RadialGrid.cell_volumes`)."""
+    div = np.empty(F.shape)
+    div[..., 0] = F[..., 0] / volumes[0]
+    inner = div[..., 1:]
+    np.subtract(F[..., 1:], F[..., :-1], out=inner)
+    inner /= volumes[1 : F.shape[-1]]
+    return div
 
-    residual_i = -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)
-    with F the midpoint-weighted smoothed flux and F_{-1/2} = 0 (symmetry).
 
-    `spec` is one ProblemSpec with u of shape (M+1,), or K of them with u of
-    shape (K, M+1), one source row per strength.  The K Jacobians are then
-    stacked into one (3, K*M) banded matrix whose entries coupling adjacent
-    blocks are 0, so one banded solve serves every strength.
-    """
-    specs = _strengths(spec)
-    if state.mesh_size != grid.mesh_size:
-        raise ValueError("state and grid disagree on the mesh")
-    u = _check_iterate(grid, u, None if isinstance(spec, ProblemSpec) else len(specs))
-    dr = grid.spacing
-    m = grid.mesh_size
-    p, eps, n = state.p, state.eps, state.n
-    gamma = specs[0].gamma
-    D = np.diff(u) / dr
-    mw = grid.midpoint_weights
-    W = grid.node_weights[:m]
-    F = mw * regularized_flux(D, p, eps)
-    div = np.empty(D.shape)
-    div[..., 0] = F[..., 0] / (W[0] * dr)
-    div[..., 1:] = np.diff(F) / (W[1:] * dr)
-    q = _nodal_gradient_scale(D, eps)
-    h = absorption_truncated(u[..., :m], n, gamma)
-    qp = q**p
-    g = np.concatenate([s.source_values(grid.nodes)[:m] for s in specs]).reshape(D.shape)
-    residual = -div + h * qp - truncate(g, float(n))
-    if not jacobian:
+class _Rung:
+    """What stays fixed while one rung is solved for a batch of strengths:
+    the rung's parameters, the grid's finite-volume weights and the
+    truncated source rows, one per strength."""
+
+    def __init__(self, specs: tuple, state: RegularizationState, grid: RadialGrid):
+        if state.mesh_size != grid.mesh_size:
+            raise ValueError("state and grid disagree on the mesh")
+        m = grid.mesh_size
+        dr = grid.spacing
+        self.m, self.dr = m, dr
+        self.p, self.eps, self.n = state.p, state.eps, state.n
+        self.gamma = specs[0].gamma
+        self.mw = grid.midpoint_weights
+        self.volumes = grid.cell_volumes()[:m]  # W_i dr
+        self.wd = self.volumes[1:] * dr  # W_i dr^2 of rows 1..M-1
+        g = np.concatenate([s.source_values(grid.nodes)[:m] for s in specs]).reshape(len(specs), m)
+        self.source = truncate(g, float(state.n))
+
+
+class _Pieces:
+    """One evaluation of the rung equations for a batch of strengths, one
+    row each: the residual and what the Jacobian at the same state is built
+    from (slopes D, gradient scale q, q^p and absorption h).
+
+    `source` holds the truncated source rows of these strengths.  The
+    Newton iteration keeps the pieces of its current iterate and of its
+    line-search trials, so that no accepted residual is computed twice."""
+
+    __slots__ = ("rung", "source", "residual", "D", "q", "qp", "h")
+    arrays = ("residual", "D", "q", "qp", "h")
+
+    def __init__(self, rung: _Rung, source: np.ndarray):
+        self.rung = rung
+        self.source = source
+
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Fill the pieces at the states u, shape (rows, M+1); return the
+        residual -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)."""
+        r = self.rung
+        D = np.diff(u)
+        D /= r.dr
+        F = regularized_flux(D, r.p, r.eps)
+        F *= r.mw
+        div = _fv_divergence(F, r.volumes)
+        q = _nodal_gradient_scale(D, r.eps)
+        h = absorption_truncated(u[:, :r.m], r.n, r.gamma)
+        qp = q**r.p
+        residual = h * qp
+        residual -= div
+        residual -= self.source
+        self.residual, self.D, self.q, self.qp, self.h = residual, D, q, qp, h
         return residual
 
-    # flux sensitivities scaled into each row, written straight into the
-    # banded rows: ab[0, ..., j] couples row j-1 to u_j, ab[2, ..., j] row j+1
-    c = mw * regularized_flux_prime(D, p, eps)  # one per midpoint
-    dh = absorption_truncated_prime(u[..., :m], n, gamma)
-    hq = h * p * q ** (p - 2.0)
-    ab = np.zeros((3,) + D.shape)
-    # origin row: only the right midpoint enters, and q_0 = hypot(D_0, eps)
-    c0 = c[..., 0] / (W[0] * dr * dr)
-    slope0 = hq[..., 0] * D[..., 0] / dr
-    ab[1, ..., 0] = c0 + dh[..., 0] * qp[..., 0] - slope0
-    ab[0, ..., 1] = -c0 + slope0
-    Wd = W[1:] * dr * dr
-    half = 0.5 / dr
-    hq = hq[..., 1:]
-    ab[1, ..., 1:] = (
-        (c[..., 1:] + c[..., :-1]) / Wd
-        + dh[..., 1:] * qp[..., 1:]
-        + hq * (D[..., :-1] - D[..., 1:]) * half
-    )
-    ab[2, ..., :-1] = -c[..., :-1] / Wd - hq * D[..., :-1] * half
-    ab[0, ..., 2:] = -c[..., 1:-1] / Wd[:-1] + hq[..., :-1] * D[..., 1:-1] * half
-    return residual, ab.reshape(3, -1)
+    def accept(self, trial: "_Pieces", at: np.ndarray, ok: np.ndarray) -> None:
+        """Take the pieces of the trial rows `ok` as those of rows `at`."""
+        if ok.all() and at.size == len(self.residual):
+            for name in self.arrays:
+                setattr(self, name, getattr(trial, name))
+            return
+        for name in self.arrays:
+            getattr(self, name)[at[ok]] = getattr(trial, name)[ok]
+
+    def take(self, keep: np.ndarray) -> "_Pieces":
+        """The pieces of the rows `keep` only."""
+        out = _Pieces(self.rung, self.source[keep])
+        for name in self.arrays:
+            setattr(out, name, getattr(self, name)[keep])
+        return out
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """The exact tridiagonal Jacobian at the states u the pieces were
+        evaluated at, in banded storage (rows: super, diagonal, sub) over
+        u_0..u_{M-1}; the K blocks are stacked into one (3, K*M) matrix
+        whose entries coupling adjacent blocks are 0."""
+        r = self.rung
+        D, q, qp = self.D, self.q, self.qp
+        dr = r.dr
+        p = r.p
+        # flux sensitivities scaled into each row, written straight into the
+        # banded rows: ab[0, ..., j] couples row j-1 to u_j, ab[2, ..., j] row j+1
+        c = regularized_flux_prime(D, p, r.eps)  # one per midpoint
+        c *= r.mw
+        dhq = absorption_truncated_prime(u[:, :r.m], r.n, r.gamma)
+        dhq *= qp
+        hq = q ** (p - 2.0)
+        hq *= self.h * p
+        ab = np.empty((3,) + D.shape)
+        ab[0, :, 0] = 0.0
+        ab[2, :, -1] = 0.0
+        # origin row: only the right midpoint enters, and q_0 = hypot(D_0, eps)
+        c0 = c[:, 0] / (r.volumes[0] * dr)
+        slope0 = hq[:, 0] * D[:, 0] / dr
+        ab[1, :, 0] = c0 + dhq[:, 0] - slope0
+        ab[0, :, 1] = -c0 + slope0
+        half = 0.5 / dr
+        hq = hq[:, 1:]
+        tmp = np.empty(hq.shape)
+        diag = ab[1, :, 1:]
+        np.add(c[:, 1:], c[:, :-1], out=diag)
+        diag /= r.wd
+        diag += dhq[:, 1:]
+        np.subtract(D[:, :-1], D[:, 1:], out=tmp)
+        tmp *= hq
+        tmp *= half
+        diag += tmp
+        sub = ab[2, :, :-1]
+        np.negative(c[:, :-1], out=sub)
+        sub /= r.wd
+        np.multiply(hq, D[:, :-1], out=tmp)
+        tmp *= half
+        sub -= tmp
+        sup = ab[0, :, 2:]
+        np.negative(c[:, 1:-1], out=sup)
+        sup /= r.wd[:-1]
+        tmp = tmp[:, 1:]
+        np.multiply(hq[:, :-1], D[:, 1:-1], out=tmp)
+        tmp *= half
+        sup += tmp
+        return ab.reshape(3, -1)
 
 
-def assemble_residual(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Nodal residual of the discrete rung equations; see `assemble_system`,
-    which returns the same residual bits together with the Jacobian."""
-    return _assemble(spec, state, grid, u, jacobian=False)
+def _entry(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray):
+    """Validated pieces and states for a public call: one ProblemSpec with u
+    of shape (M+1,), or K of them with u of shape (K, M+1)."""
+    specs = _strengths(spec)
+    rung = _Rung(specs, state, grid)
+    u = _check_iterate(grid, u, None if isinstance(spec, ProblemSpec) else len(specs))
+    return _Pieces(rung, rung.source), u.reshape(len(specs), -1)
 
 
-def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray):
-    """Residual plus its exact tridiagonal Jacobian in banded storage.
+def assemble_residual(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, pieces=None) -> np.ndarray:
+    """Nodal residual of the discrete rung equations at nodes 0..M-1:
+
+    residual_i = -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)
+
+    with F the midpoint-weighted smoothed flux and F_{-1/2} = 0 (symmetry).
+    Shapes as in `assemble_system`, which returns the same residual bits.
+
+    `pieces` is internal to `newton_solve`: an unfilled `_Pieces` of its
+    rung for these strengths, filled here at u of shape (K, M+1)."""
+    if pieces is not None:
+        return pieces.evaluate(u)
+    pieces, rows = _entry(spec, state, grid, u)
+    return pieces.evaluate(rows).reshape(np.shape(u)[:-1] + (-1,))
+
+
+def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, pieces=None):
+    """Residual plus its exact tridiagonal Jacobian in banded storage (rows:
+    super, diagonal, sub) over the unknowns u_0..u_{M-1}.
 
     For one ProblemSpec and u of shape (M+1,): a residual of shape (M,) and
     a (3, M) banded matrix.  For K specs and u of shape (K, M+1): residuals
-    of shape (K, M) and the K Jacobians stacked block-diagonally as (3, K*M).
-    """
-    return _assemble(spec, state, grid, u, jacobian=True)
+    of shape (K, M) and the K Jacobians stacked block-diagonally as (3, K*M),
+    with the entries coupling adjacent blocks 0, so one banded solve serves
+    every strength.
+
+    `pieces` is internal to `newton_solve`: the `_Pieces` already evaluated
+    at u of shape (K, M+1), from which the Jacobian is built without
+    computing the residual again."""
+    if pieces is not None:
+        return pieces.residual, pieces.jacobian(u)
+    pieces, rows = _entry(spec, state, grid, u)
+    residual = pieces.evaluate(rows).reshape(np.shape(u)[:-1] + (-1,))
+    return residual, pieces.jacobian(rows)
 
 
 def reconstruct_flux(state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -496,10 +615,15 @@ def newton_solve(
         results[i] = sol
 
     # rows[j] is the strength held in row j of u, residual, ab and rmax;
-    # rows leave these arrays as their strengths finish
+    # rows leave these arrays as their strengths finish.  `pieces` holds the
+    # kernel's evaluation at u: the line search writes the accepted trials'
+    # pieces into it, and the next Jacobian is built from them.
     rows = np.arange(len(specs))
     u = _check_iterate(grid, u0, None if single else len(specs)).reshape(len(specs), -1).copy()
-    residual, ab = assemble_system(specs, state, grid, u)
+    rung = _Rung(specs, state, grid)
+    pieces = _Pieces(rung, rung.source)
+    pieces.evaluate(u)
+    residual, ab = assemble_system(specs, state, grid, u, pieces=pieces)
     rmax = np.abs(residual).max(axis=1)
     its = 0
     for its in range(1, max_iter + 1):
@@ -512,7 +636,8 @@ def newton_solve(
                 break
             go = ~done
             ab = ab.reshape(3, go.size, m)[:, go].reshape(3, -1)
-            rows, u, residual, rmax, allow = rows[go], u[go], residual[go], rmax[go], allow[go]
+            rows, u, rmax, allow, pieces = rows[go], u[go], rmax[go], allow[go], pieces.take(go)
+            residual = pieces.residual
         step, failed = _newton_steps(ab, residual)
         stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(u).max(axis=1))
         stop[list(failed)] = True
@@ -526,24 +651,29 @@ def newton_solve(
             if all(stop):
                 break
             go = ~stop
-            rows, u, residual, rmax, allow, step = rows[go], u[go], residual[go], rmax[go], allow[go], step[go]
+            rows, u, rmax, allow, step, pieces = rows[go], u[go], rmax[go], allow[go], step[go], pieces.take(go)
+            residual = pieces.residual
         rnorm = _row_norms(residual / allow)
         # rows still trying (held at pos of u) have all failed the same
         # number of halvings, so they share alpha
         alpha = 1.0
         accepted = np.zeros(rows.size, dtype=bool)
         pos = np.arange(rows.size)
+        source = pieces.source
         for _ in range(50):
             trial = u[pos]
             trial[:, :m] += alpha * step
-            tnorm = _row_norms(assemble_residual(tuple(specs[i] for i in rows[pos]), state, grid, trial) / allow)
+            tried = _Pieces(rung, source)
+            tres = assemble_residual(tuple(specs[i] for i in rows[pos]), state, grid, trial, pieces=tried)
+            tnorm = _row_norms(tres / allow)
             ok = (tnorm < rnorm) & (tnorm <= (1.0 - 1e-4 * alpha) * rnorm)
             if any(ok):
                 u[pos[ok]] = trial[ok]
                 accepted[pos[ok]] = True
+                pieces.accept(tried, pos, ok)
                 if all(ok):
                     break
-                pos, step, allow, rnorm = pos[~ok], step[~ok], allow[~ok], rnorm[~ok]
+                pos, step, allow, rnorm, source = pos[~ok], step[~ok], allow[~ok], rnorm[~ok], source[~ok]
             alpha *= 0.5
         if not all(accepted):
             # a line-search dead end ends the strength on its last iterate
@@ -551,8 +681,8 @@ def newton_solve(
                 finish(rows[j], u[j], residual[j], its, rmax[j], "residual" if rmax[j] <= tol else "stalled")
             if not any(accepted):
                 break
-            rows, u = rows[accepted], u[accepted]
-        residual, ab = assemble_system(tuple(specs[i] for i in rows), state, grid, u)
+            rows, u, pieces = rows[accepted], u[accepted], pieces.take(accepted)
+        residual, ab = assemble_system(tuple(specs[i] for i in rows), state, grid, u, pieces=pieces)
         rmax = np.abs(residual).max(axis=1)
     else:
         # out of iterations

@@ -34,7 +34,8 @@ from . import oracle
 from .geometry import (cheeger_bounds, sobolev_constant, sphere_area,
                        unit_ball_volume)
 from .scalar import absorption_exact, remainder
-from .solver import DiscreteSolution, ProblemSpec, RadialGrid, plateau_extent
+from .solver import (DiscreteSolution, ProblemSpec, RadialGrid, _fv_divergence,
+                     plateau_extent)
 
 __all__ = [
     "Tolerances",
@@ -194,7 +195,6 @@ def _defect_parts(u, z, spec: ProblemSpec, grid: RadialGrid):
     States touching 1 get infinite absorption rows (outside the admissible
     class); small negative values are clipped before evaluating (1-u)^-gamma."""
     m = grid.mesh_size
-    dr = grid.spacing
     g = spec.source_values(grid.nodes)[:m]
     subunit = bool(np.all(u < 1.0))
     s = _centered_slopes(grid, u)
@@ -203,9 +203,7 @@ def _defect_parts(u, z, spec: ProblemSpec, grid: RadialGrid):
     else:
         absorb = np.full(m, np.inf)
     F = grid.midpoint_weights * z
-    div = np.empty(m)
-    div[0] = F[0] / (grid.node_weights[0] * dr)
-    div[1:] = np.diff(F) / (grid.node_weights[1:m] * dr)
+    div = _fv_divergence(F, grid.cell_volumes())
     return -div + absorb - g, F, absorb, g, subunit
 
 

@@ -45,6 +45,20 @@ def test_csv_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(sent, got)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 5000])
+def test_csv_text_is_format_float_per_value(tmp_path, rows):
+    # the whole-table writer must print each double exactly as format_float
+    # does, including the values whose text is special
+    edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 0.1, -1.0 / 3.0,
+            1e16, 123456789012345680.0, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(rows)
+    values = np.concatenate([edge, rng.standard_normal(3 * rows) * 10.0 ** rng.integers(-300, 300, 3 * rows)])
+    cols = [values[k : k + rows] for k in (0, rows, 2 * rows)]
+    path = io.write_csv(tmp_path / "t.csv", ["a", "b", "c"], cols)
+    want = "a,b,c\n" + "".join(",".join(io.format_float(v) for v in row) + "\n" for row in zip(*cols))
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_csv_rejects_ragged_input(tmp_path):
     with pytest.raises(ValueError, match="per column"):
         io.write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3), np.zeros(3)])

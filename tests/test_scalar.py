@@ -148,6 +148,46 @@ def test_truncated_absorption_prime_matches_differences():
         np.testing.assert_allclose(d[keep], fd[keep], rtol=1e-5)
 
 
+def _nested_where(s, n, gamma):
+    """Value and slope of the truncated absorption with every branch
+    evaluated everywhere and selected by nested np.where: the reference
+    that the masked evaluation must match bit for bit."""
+    a = np.asarray(s, dtype=float)
+    nf = float(n)
+    base = 1.0 - np.minimum(a, 1.0)
+    inv = 1.0 / (base**gamma + 1.0 / nf)
+    pow_gm1 = np.where(base > 0.0, base ** (gamma - 1.0), 0.0)
+    d_inv = gamma * pow_gm1 * inv * inv
+    d_low = nf * inv + nf * a * d_inv
+    value = np.where(a >= 1.0, nf, np.where(a >= 1.0 / nf, inv, np.where(a >= 0.0, nf * a * inv, 0.0)))
+    slope = np.where(a >= 1.0, 0.0, np.where(a >= 1.0 / nf, d_inv, np.where(a >= 0.0, d_low, 0.0)))
+    return value, slope
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 100, 10**6])
+def test_truncated_absorption_matches_nested_where_bitwise(n, gamma):
+    kinks = [0.0, -0.0, 1.0 / n, 1.0]
+    around = [np.nextafter(k, side) for k in kinks for side in (-np.inf, np.inf)]
+    outside = [-1e-300, -2.5, -np.inf, 1.5, 1e300, np.inf, np.nan]
+    rng = np.random.default_rng(n)
+    s = np.concatenate([kinks, around, outside, rng.uniform(-0.2, 1.2, 400), rng.uniform(0.0, 2.0 / n, 100)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, slope = _nested_where(s, n, gamma)
+        assert absorption_truncated(s, n, gamma).tobytes() == value.tobytes()
+        assert absorption_truncated_prime(s, n, gamma).tobytes() == slope.tobytes()
+        # a strided 2-d view and scalar arguments select the same bits
+        grid = s[:510].reshape(-1, 10)[:, ::3]
+        assert absorption_truncated(grid, n, gamma).tobytes() == _nested_where(grid, n, gamma)[0].tobytes()
+        assert absorption_truncated_prime(grid, n, gamma).tobytes() == _nested_where(grid, n, gamma)[1].tobytes()
+        for k, x in enumerate(s[:19]):
+            h = absorption_truncated(float(x), n, gamma)
+            d = absorption_truncated_prime(float(x), n, gamma)
+            assert isinstance(h, float) and isinstance(d, float)
+            assert np.float64(h).tobytes() == value[k].tobytes()
+            assert np.float64(d).tobytes() == slope[k].tobytes()
+
+
 # ------------------------------------------------------------- exact branch
 
 def test_exact_absorption_values():

@@ -330,6 +330,45 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     assert info.value.rung == 0
 
 
+@pytest.mark.parametrize("lams", [(4.0,), (0.5, 3.0, 4.0)])
+def test_jacobian_from_accepted_trials_matches_fresh_assembly(monkeypatch, lams):
+    # after the first, every Jacobian of the iteration is built from the
+    # pieces its accepted line-search trials kept; each must equal, bit for
+    # bit, the residual and Jacobian assembled afresh at the same states.
+    # With three strengths, lam = 0.5 finishes at iteration 5 of 8 and some
+    # line searches accept the strengths in different trials.
+    grid = RadialGrid.uniform(INTERVAL, 200)
+    st = _state(p=1.1, n=1000, eps=1e-2, mesh=200)
+    specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in lams]
+    real_system = solver.assemble_system
+    real_accept = solver._Pieces.accept
+    rows, partial = [], []
+
+    def checked(spec, state, grid, u, pieces=None):
+        assert pieces is not None
+        got = real_system(spec, state, grid, u, pieces=pieces)
+        want = real_system(spec, state, grid, u)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        rows.append(len(u))
+        return got
+
+    def accept(self, trial, at, ok):
+        partial.append(not ok.all() or at.size < len(self.residual))
+        return real_accept(self, trial, at, ok)
+
+    monkeypatch.setattr(solver, "assemble_system", checked)
+    monkeypatch.setattr(solver._Pieces, "accept", accept)
+    batch = newton_solve(specs, st, grid, np.zeros((len(lams), 201)))
+    its = [sol.iterations for sol in batch.results]
+    assert all(sol.converged for sol in batch.results)
+    assert len(rows) == max(its) + 1
+    if len(lams) == 3:
+        assert its == [5, 8, 8]
+        assert rows[0] == 3 and rows[-1] == 2
+        assert any(partial)
+
+
 def test_batch_rejects_mixed_exponents_and_bad_shapes():
     grid = RadialGrid.uniform(INTERVAL, 64)
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=2.0), ProblemSpec(INTERVAL, gamma=2.0, source=2.0)]
