@@ -3,126 +3,8 @@ problem with a gradient absorption term that blows up as the state reaches 1.
 
 The package splits into closed-form machinery (`oracle`, `geometry`,
 `scalar`), the p-regularized continuation solver (`solver`), the clause
-verifier (`verify`), and serialization plus a CLI (`io`, `cli`).
+verifier (`verify`), and serialization plus a CLI (`io`, `cli`).  Names are
+imported from those submodules; the package itself holds only the version.
 """
 
-from .geometry import (
-    CheegerBounds,
-    DomainSpec,
-    cheeger_bounds,
-    domain_measure,
-    domain_perimeter,
-    smallness_check,
-    sobolev_constant,
-    sobolev_constant_limit,
-    sphere_area,
-    unit_ball_volume,
-)
-from .oracle import CurveFamily, ExplicitSolution, sweep_curves
-from .scalar import (
-    absorption_exact,
-    absorption_primitive,
-    absorption_truncated,
-    absorption_truncated_prime,
-    remainder,
-    root_absorption_primitive,
-    root_primitive_unbounded,
-    truncate,
-)
-from .solver import (
-    AprioriReport,
-    ContinuationSchedule,
-    DiscreteSolution,
-    NonConvergence,
-    ProblemSpec,
-    RadialGrid,
-    RegularizationState,
-    RungReport,
-    SingularJacobian,
-    apriori_bounds_report,
-    assemble_residual,
-    assemble_system,
-    continuation_solve,
-    gradient_mass,
-    newton_solve,
-    plateau_extent,
-    reconstruct_flux,
-    regularized_flux,
-    regularized_flux_prime,
-    schedule_preset,
-    solve_problem,
-)
-from .verify import (
-    GridMismatch,
-    LevelSetRecord,
-    LogSubstitutionReport,
-    Tolerances,
-    VerificationReport,
-    energy_identity_check,
-    level_set_decay_check,
-    logsub_cheeger_check,
-    pointwise_residual,
-    sampled_explicit,
-    sampled_trivial,
-    verify,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheegerBounds",
-    "DomainSpec",
-    "cheeger_bounds",
-    "domain_measure",
-    "domain_perimeter",
-    "smallness_check",
-    "sobolev_constant",
-    "sobolev_constant_limit",
-    "sphere_area",
-    "unit_ball_volume",
-    "CurveFamily",
-    "ExplicitSolution",
-    "sweep_curves",
-    "absorption_exact",
-    "absorption_primitive",
-    "absorption_truncated",
-    "absorption_truncated_prime",
-    "remainder",
-    "root_absorption_primitive",
-    "root_primitive_unbounded",
-    "truncate",
-    "AprioriReport",
-    "ContinuationSchedule",
-    "DiscreteSolution",
-    "NonConvergence",
-    "ProblemSpec",
-    "RadialGrid",
-    "RegularizationState",
-    "RungReport",
-    "SingularJacobian",
-    "apriori_bounds_report",
-    "assemble_residual",
-    "assemble_system",
-    "continuation_solve",
-    "gradient_mass",
-    "newton_solve",
-    "plateau_extent",
-    "reconstruct_flux",
-    "regularized_flux",
-    "regularized_flux_prime",
-    "schedule_preset",
-    "solve_problem",
-    "GridMismatch",
-    "LevelSetRecord",
-    "LogSubstitutionReport",
-    "Tolerances",
-    "VerificationReport",
-    "energy_identity_check",
-    "level_set_decay_check",
-    "logsub_cheeger_check",
-    "pointwise_residual",
-    "sampled_explicit",
-    "sampled_trivial",
-    "verify",
-    "__version__",
-]

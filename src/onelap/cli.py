@@ -11,7 +11,9 @@ runs with identical flags produce byte-identical files.  Relative output
 paths land in $ONELAP_OUT_DIR when that is set, the working directory
 otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override
-the file.
+the file, and a value its flag cannot take exits 1.  Required flags
+(`--lambda`, `--lambdas`, `--input`, `--fnorm`) cannot come from the file:
+it is read after a first parse, which rejects a missing required flag.
 
 `sweep --mode solver` solves all its strengths together, on one thread: each
 Newton iteration assembles and solves every strength still iterating in one
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,24 +146,30 @@ def _parse_lambdas(text: str) -> list:
         raise _CliError(f"cannot parse lambda list {text!r}") from None
 
 
-def _schedule_for(args, mesh: int) -> ContinuationSchedule:
+def _typed(what: str, value, kind):
+    """`value` as `kind`; a mistyped value from a file is bad input, not a
+    crash."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _CliError(f"{what} is not a {kind.__name__}: {value!r}") from None
+
+
+def _schedule_for(args) -> ContinuationSchedule:
     rungs = getattr(args, "rungs", None)
     knobs = {
-        k: t(getattr(args, k))
+        k: _typed(f"config {k!r}", getattr(args, k), t)
         for k, t in (("newton_tol", float), ("step_tol", float), ("max_iter", int))
         if getattr(args, k, None) is not None
     }
     if rungs:
-        states = tuple(RegularizationState(p=float(p), n=int(n), eps=float(e), mesh_size=mesh) for p, n, e in rungs)
+        try:
+            triples = [(float(p), int(n), float(e)) for p, n, e in rungs]
+        except (TypeError, ValueError):
+            raise _CliError(f"config 'rungs' must be a list of [p, n, eps] triples, got {rungs!r}") from None
+        states = tuple(RegularizationState(p=p, n=n, eps=e) for p, n, e in triples)
         return ContinuationSchedule(states, **knobs)
-    sched = schedule_preset(args.schedule, mesh)
-    if knobs:
-        sched = ContinuationSchedule(sched.states, **{**{
-            "newton_tol": sched.newton_tol,
-            "step_tol": sched.step_tol,
-            "max_iter": sched.max_iter,
-        }, **knobs})
-    return sched
+    return replace(schedule_preset(args.schedule), **knobs)
 
 
 def _report_payload(rep: VerificationReport) -> dict:
@@ -240,7 +249,7 @@ def cmd_solve(args) -> int:
     domain = DomainSpec(kind=args.domain, dim=args.dim, radius=args.radius)
     spec = ProblemSpec(domain=domain, gamma=args.gamma, source=args.lam)
     grid = RadialGrid.uniform(domain, args.mesh)
-    schedule = _schedule_for(args, args.mesh)
+    schedule = _schedule_for(args)
     base = _resolve(args.output, f"solve_{domain.kind}{domain.dim}_lam{args.lam:g}_M{args.mesh}")
     preset_name = "custom" if getattr(args, "rungs", None) else args.schedule
     info = _meta_schedule(schedule, preset_name)
@@ -288,10 +297,7 @@ def _meta_field(meta, key: str, kind):
     is bad input, not a crash."""
     if not isinstance(meta, dict) or key not in meta:
         raise _CliError(f"bundle metadata has no {key!r}")
-    try:
-        return kind(meta[key])
-    except (TypeError, ValueError):
-        raise _CliError(f"bundle metadata {key!r} is not a {kind.__name__}: {meta[key]!r}") from None
+    return _typed(f"bundle metadata {key!r}", meta[key], kind)
 
 
 def cmd_verify(args) -> int:
@@ -350,7 +356,7 @@ def cmd_sweep(args) -> int:
         return 0
 
     grid = RadialGrid.uniform(domain, args.mesh)
-    schedule = _schedule_for(args, args.mesh)
+    schedule = _schedule_for(args)
 
     specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
     results = continuation_solve(specs, schedule, grid)
@@ -411,10 +417,7 @@ def cmd_smallness(args) -> int:
 def _emit_record(args, payload: dict, csv_fields, default_name: str) -> int:
     """JSON to stdout (and optionally a file); CSV writes one row."""
     if args.format == "json":
-        import json
-
-        text = json.dumps(io._jsonable(payload), indent=2, sort_keys=True)
-        print(text)
+        print(io.json_text(payload))
         if args.output is not None:
             io.write_json(_resolve(args.output, ""), payload)
     else:
@@ -422,6 +425,24 @@ def _emit_record(args, payload: dict, csv_fields, default_name: str) -> int:
         io.write_csv(out, list(csv_fields), [np.array([float(payload[k])]) for k in csv_fields])
         print(f"wrote {out}")
     return 0
+
+
+# typed config values a flag of each argparse type can take; a string is
+# parsed by argparse like the flag's own text
+_CONFIG_KINDS = {int: (int,), float: (int, float)}
+
+
+def _check_config(sub, cfg: dict, path) -> None:
+    """Reject a config value that its flag cannot take, before it reaches
+    the code behind the flag."""
+    for action in sub._actions:
+        if action.dest not in cfg:
+            continue
+        value = cfg[action.dest]
+        if isinstance(value, str) or (value is None and action.default is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_KINDS.get(action.type, ())):
+            raise _CliError(f"{path}: config {action.dest!r} cannot take {value!r}")
 
 
 _DISPATCH = {
@@ -442,6 +463,7 @@ def main(argv=None) -> int:
             cfg = io.read_json(args.config)
             if not isinstance(cfg, dict):
                 raise _CliError(f"{args.config}: config must be a JSON object")
+            _check_config(subs[args.command], cfg, args.config)
             subs[args.command].set_defaults(**cfg)
             args = ap.parse_args(argv)  # explicit flags still win
         return _DISPATCH[args.command](args)

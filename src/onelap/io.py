@@ -31,6 +31,7 @@ __all__ = [
     "format_float",
     "write_csv",
     "read_csv",
+    "json_text",
     "write_json",
     "read_json",
     "nodal_flux",
@@ -114,10 +115,16 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def json_text(payload) -> str:
+    """The JSON text of `payload`: sorted keys, two-space indent, no final
+    newline."""
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+
+
 def write_json(path, payload) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json_text(payload)  # before opening: a failure leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     return path

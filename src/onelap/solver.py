@@ -55,7 +55,6 @@ __all__ = [
     "gradient_mass",
     "apriori_bounds_report",
     "schedule_preset",
-    "solve_problem",
 ]
 
 SourceTerm = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -121,7 +120,6 @@ class RegularizationState:
     p: float
     n: int
     eps: float
-    mesh_size: int
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -130,8 +128,6 @@ class RegularizationState:
             raise ValueError(f"truncation level must be a positive integer, got {self.n!r}")
         if not self.eps > 0.0:
             raise ValueError(f"smoothing eps must be positive, got {self.eps!r}")
-        if int(self.mesh_size) != self.mesh_size or self.mesh_size < 8:
-            raise ValueError(f"mesh size must be an integer >= 8, got {self.mesh_size!r}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,6 @@ class ContinuationSchedule:
                 raise ValueError("schedule must not decrease n")
             if b.eps > a.eps:
                 raise ValueError("schedule must not increase eps")
-            if b.mesh_size != a.mesh_size:
-                raise ValueError("schedule must keep one mesh")
 
 
 def regularized_flux(s, p: float, eps: float):
@@ -322,8 +316,6 @@ class _Rung:
     truncated source rows, one per strength."""
 
     def __init__(self, specs: tuple, state: RegularizationState, grid: RadialGrid):
-        if state.mesh_size != grid.mesh_size:
-            raise ValueError("state and grid disagree on the mesh")
         m = grid.mesh_size
         dr = grid.spacing
         self.m, self.dr = m, dr
@@ -867,7 +859,7 @@ _PRESET_P = {
 }
 
 
-def schedule_preset(name: str, mesh_size: int) -> ContinuationSchedule:
+def schedule_preset(name: str) -> ContinuationSchedule:
     """Named continuation ladders.  n grows by decades from 100 up to 1e6;
     eps follows (p-1)^2 clamped into [1e-8, 1e-3].  The deep tail of the
     default ladder is what collapses boundary layers of width (p-1) below
@@ -884,16 +876,8 @@ def schedule_preset(name: str, mesh_size: int) -> ContinuationSchedule:
             p=p,
             n=min(100 * 10**k, 1_000_000),
             eps=min(max((p - 1.0) ** 2, 1e-8), 1e-3),
-            mesh_size=mesh_size,
         )
         for k, p in enumerate(ps)
     )
     return ContinuationSchedule(states=states)
 
-
-def solve_problem(
-    spec: ProblemSpec, mesh_size: int, preset: str = "default"
-) -> DiscreteSolution:
-    """Convenience wrapper: uniform grid plus a named schedule."""
-    grid = RadialGrid.uniform(spec.domain, mesh_size)
-    return continuation_solve(spec, schedule_preset(preset, mesh_size), grid)

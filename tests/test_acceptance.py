@@ -38,7 +38,7 @@ def interval_solve():
     spec = ProblemSpec(dom, gamma=1.0, source=4.0)
     grid = RadialGrid.uniform(dom, 4000)
     t0 = perf_counter()
-    sol = continuation_solve(spec, schedule_preset("default", 4000), grid)
+    sol = continuation_solve(spec, schedule_preset("default"), grid)
     return spec, grid, sol, perf_counter() - t0
 
 
@@ -53,7 +53,7 @@ def rigidity_scan():
         dom = DomainSpec(kind, dim)
         spec = ProblemSpec(dom, gamma=1.0, source=lam)
         grid = RadialGrid.uniform(dom, mesh)
-        sol = continuation_solve(spec, schedule_preset("default", mesh), grid)
+        sol = continuation_solve(spec, schedule_preset("default"), grid)
         runs.append((spec, grid, sol))
     return runs, perf_counter() - t0
 
@@ -225,7 +225,7 @@ def test_criterion_7_property_suites():
     dom = DomainSpec("ball", 2)
     grid = RadialGrid.uniform(dom, m)
     spec = ProblemSpec(dom, gamma=1.3, source=2.0)
-    st = RegularizationState(p=1.3, n=50, eps=1e-3, mesh_size=m)
+    st = RegularizationState(p=1.3, n=50, eps=1e-3)
     u = 0.4 * np.sin(np.pi * grid.nodes) + 0.05 * rng.standard_normal(m + 1)
     u[-1] = 0.0
     _, ab = assemble_system(spec, st, grid, u)

@@ -290,7 +290,7 @@ def test_sweep_solver_batch_matches_single_solves(tmp_path):
     r = np.abs(table["x"])
     for lam in (1.5, 3.0, 5.0, 7.0):
         spec = ProblemSpec(domain, gamma=1.0, source=lam)
-        sol = continuation_solve(spec, schedule_preset("default", 400), grid)
+        sol = continuation_solve(spec, schedule_preset("default"), grid)
         assert np.array_equal(table[f"u_lam{lam:g}"], np.interp(r, grid.nodes, sol.u))
         assert np.array_equal(table[f"res_lam{lam:g}"], np.interp(r, grid.nodes, np.append(sol.residual, 0.0)))
         want = io.write_json(tmp_path / "want.json", cli._report_payload(verify(sol, spec, grid, Tolerances.for_solver())))
@@ -402,6 +402,16 @@ def test_config_starves_newton_exit_two(tmp_path, capsys):
     assert meta["failed_rung"] == 0
     assert meta["converged"] is False
     assert meta["schedule"]["preset"] == "custom"
+
+
+@pytest.mark.parametrize("config", [{"rungs": 5}, {"max_iter": [1]}, {"output": 5}])
+def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "64", "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.glob("solve_*")) == []
 
 
 def test_config_defaults_yield_to_explicit_flags(tmp_path, capsys):

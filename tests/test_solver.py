@@ -22,15 +22,14 @@ from onelap.solver import (
     plateau_extent,
     reconstruct_flux,
     schedule_preset,
-    solve_problem,
 )
 
 INTERVAL = DomainSpec("interval", 1, 1.0)
 DISK = DomainSpec("ball", 2, 1.0)
 
 
-def _state(p=1.2, n=100, eps=1e-4, mesh=200):
-    return RegularizationState(p=p, n=n, eps=eps, mesh_size=mesh)
+def _state(p=1.2, n=100, eps=1e-4):
+    return RegularizationState(p=p, n=n, eps=eps)
 
 
 # ------------------------------------------------------------------- types
@@ -62,7 +61,7 @@ def test_regularization_state_validation():
     with pytest.raises(ValueError):
         _state(eps=0.0)
     with pytest.raises(ValueError):
-        _state(mesh=4)
+        RadialGrid.uniform(INTERVAL, 4)
 
 
 def test_grid_weights_telescope():
@@ -80,28 +79,28 @@ def test_grid_weights_telescope():
 
 
 def test_schedule_validation():
-    good = _state(p=1.4, mesh=64)
+    good = _state(p=1.4)
     with pytest.raises(ValueError):
         ContinuationSchedule(())
     with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.4, mesh=64)))  # p must drop
+        ContinuationSchedule((good, _state(p=1.4)))  # p must drop
     with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.2, n=50, mesh=64)))  # n drops
+        ContinuationSchedule((good, _state(p=1.2, n=50)))  # n drops
     with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.2, eps=1e-3, mesh=64)))  # eps grows
+        ContinuationSchedule((good, _state(p=1.2, eps=1e-3)))  # eps grows
 
 
 def test_schedule_presets():
-    sched = schedule_preset("default", 256)
+    sched = schedule_preset("default")
     ps = [st.p for st in sched.states]
     assert len(ps) == 13
     assert ps[0] == 1.5 and ps[-1] == 1.000001
     assert all(b < a for a, b in zip(ps, ps[1:]))
     assert all(st.eps >= 1e-8 for st in sched.states)
-    assert len(schedule_preset("tight", 256).states) == 15
-    assert len(schedule_preset("fast", 256).states) < 13
+    assert len(schedule_preset("tight").states) == 15
+    assert len(schedule_preset("fast").states) < 13
     with pytest.raises(ValueError):
-        schedule_preset("bogus", 256)
+        schedule_preset("bogus")
 
 
 # -------------------------------------------------------------- residual
@@ -109,7 +108,7 @@ def test_schedule_presets():
 def test_residual_at_zero_state_is_minus_source():
     grid = RadialGrid.uniform(INTERVAL, 128)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=3.5)
-    res = assemble_residual(spec, _state(mesh=128), grid, np.zeros(129))
+    res = assemble_residual(spec, _state(), grid, np.zeros(129))
     np.testing.assert_allclose(res, -3.5, rtol=1e-14)
 
 
@@ -119,11 +118,11 @@ def test_residual_rejects_bad_iterates():
     u = np.zeros(129)
     u[-1] = 0.5
     with pytest.raises(ValueError):
-        assemble_residual(spec, _state(mesh=128), grid, u)
+        assemble_residual(spec, _state(), grid, u)
     u[-1] = 0.0
     u[3] = np.nan
     with pytest.raises(ValueError):
-        assemble_residual(spec, _state(mesh=128), grid, u)
+        assemble_residual(spec, _state(), grid, u)
 
 
 def test_residual_finite_above_one():
@@ -132,7 +131,7 @@ def test_residual_finite_above_one():
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=1.0)
     u = 1.2 * np.sin(np.pi * grid.nodes)
     u[-1] = 0.0
-    res = assemble_residual(spec, _state(n=10, mesh=128), grid, u)
+    res = assemble_residual(spec, _state(n=10), grid, u)
     assert np.all(np.isfinite(res))
 
 
@@ -143,7 +142,7 @@ def test_oracle_interpolant_residual_small_on_moving_region():
     m = 4000
     grid = RadialGrid.uniform(INTERVAL, m)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    st = RegularizationState(p=1.001, n=10**6, eps=1e-8, mesh_size=m)
+    st = RegularizationState(p=1.001, n=10**6, eps=1e-8)
     res = assemble_residual(spec, st, grid, profile(1, 4.0, grid.nodes))
     r = grid.nodes[:-1]
     moving = r > 0.25 + 2 * grid.spacing
@@ -156,7 +155,7 @@ def test_jacobian_matches_finite_differences():
     m = 24
     grid = RadialGrid.uniform(DISK, m)
     spec = ProblemSpec(DISK, gamma=1.3, source=2.0)
-    st = RegularizationState(p=1.3, n=50, eps=1e-3, mesh_size=m)
+    st = RegularizationState(p=1.3, n=50, eps=1e-3)
     rng = np.random.default_rng(3)
     u = 0.4 * np.sin(np.pi * grid.nodes) + 0.05 * rng.standard_normal(m + 1)
     u[-1] = 0.0
@@ -180,7 +179,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_reconstructed_flux_matches_slope_law():
     grid = RadialGrid.uniform(INTERVAL, 100)
-    st = _state(p=1.5, eps=1e-2, mesh=100)
+    st = _state(p=1.5, eps=1e-2)
     u = 0.5 * (1.0 - grid.nodes**2)
     z = reconstruct_flux(st, grid, u)
     d = np.diff(u) / grid.spacing
@@ -192,7 +191,7 @@ def test_reconstructed_flux_matches_slope_law():
 def test_newton_zero_source_is_immediate():
     grid = RadialGrid.uniform(INTERVAL, 64)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=0.0)
-    sol = newton_solve(spec, _state(mesh=64), grid, np.zeros(65))
+    sol = newton_solve(spec, _state(), grid, np.zeros(65))
     assert sol.converged and sol.iterations == 0
     assert np.all(sol.u == 0.0)
 
@@ -202,7 +201,7 @@ def test_newton_single_rung_reaches_float_floor():
     # below; the rung must stop there and report convergence honestly
     grid = RadialGrid.uniform(INTERVAL, 2000)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    st = RegularizationState(p=1.2, n=100, eps=1e-4, mesh_size=2000)
+    st = RegularizationState(p=1.2, n=100, eps=1e-4)
     sol = newton_solve(spec, st, grid, np.zeros(2001))
     assert sol.converged
     assert sol.stop_reason in ("residual", "float_floor")
@@ -219,13 +218,13 @@ def test_newton_rejects_bad_start():
     u0 = np.zeros(65)
     u0[10] = np.inf
     with pytest.raises(ValueError):
-        newton_solve(spec, _state(mesh=64), grid, u0)
+        newton_solve(spec, _state(), grid, u0)
 
 
 def test_newton_determinism():
     grid = RadialGrid.uniform(DISK, 300)
     spec = ProblemSpec(DISK, gamma=1.0, source=5.0)
-    st = RegularizationState(p=1.3, n=1000, eps=1e-3, mesh_size=300)
+    st = RegularizationState(p=1.3, n=1000, eps=1e-3)
     a = newton_solve(spec, st, grid, np.zeros(301))
     b = newton_solve(spec, st, grid, np.zeros(301))
     assert np.array_equal(a.u, b.u) and np.array_equal(a.z, b.z)
@@ -237,7 +236,7 @@ def test_newton_determinism():
 def test_continuation_attaches_failing_rung():
     grid = RadialGrid.uniform(INTERVAL, 64)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sched = ContinuationSchedule((_state(p=1.4, mesh=64),), max_iter=1)
+    sched = ContinuationSchedule((_state(p=1.4),), max_iter=1)
     with pytest.raises(NonConvergence) as info:
         continuation_solve(spec, sched, grid)
     assert info.value.rung == 0
@@ -247,9 +246,9 @@ def test_continuation_attaches_failing_rung():
 def test_continuation_history_and_fast_preset():
     grid = RadialGrid.uniform(INTERVAL, 400)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, schedule_preset("fast", 400), grid)
+    sol = continuation_solve(spec, schedule_preset("fast"), grid)
     assert sol.converged
-    assert len(sol.history) == len(schedule_preset("fast", 400).states)
+    assert len(sol.history) == len(schedule_preset("fast").states)
     assert [h.index for h in sol.history] == list(range(len(sol.history)))
     sups = [h.sup_norm for h in sol.history]
     assert sups[-1] == pytest.approx(float(np.max(sol.u)), rel=1e-12)
@@ -262,7 +261,7 @@ def test_continuation_history_and_fast_preset():
 def test_trivial_regime_collapses_to_dust():
     grid = RadialGrid.uniform(INTERVAL, 500)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=0.5)
-    sol = continuation_solve(spec, schedule_preset("default", 500), grid)
+    sol = continuation_solve(spec, schedule_preset("default"), grid)
     assert float(np.max(np.abs(sol.u))) <= 1e-6
     assert sol.history[-1].plateau_radius == 1.0
 
@@ -277,7 +276,7 @@ def test_batched_continuation_matches_single_solves():
     # exactly as it comes out of its own solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 500)
-    sched = schedule_preset("default", 500)
+    sched = schedule_preset("default")
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (0.5, 4.0, 6.0)]
     batch = continuation_solve(specs, sched, grid)
     assert len(batch) == 3
@@ -304,7 +303,7 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     # or returns NaN in it; the stacked solve then falls back to one block
     # at a time and only that strength fails
     grid = RadialGrid.uniform(INTERVAL, 64)
-    st = _state(mesh=64)
+    st = _state()
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in (2.0, 3.0, 4.0)]
     real = solver.solve_banded
 
@@ -338,7 +337,7 @@ def test_jacobian_from_accepted_trials_matches_fresh_assembly(monkeypatch, lams)
     # With three strengths, lam = 0.5 finishes at iteration 5 of 8 and some
     # line searches accept the strengths in different trials.
     grid = RadialGrid.uniform(INTERVAL, 200)
-    st = _state(p=1.1, n=1000, eps=1e-2, mesh=200)
+    st = _state(p=1.1, n=1000, eps=1e-2)
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in lams]
     real_system = solver.assemble_system
     real_accept = solver._Pieces.accept
@@ -373,13 +372,14 @@ def test_batch_rejects_mixed_exponents_and_bad_shapes():
     grid = RadialGrid.uniform(INTERVAL, 64)
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=2.0), ProblemSpec(INTERVAL, gamma=2.0, source=2.0)]
     with pytest.raises(ValueError, match="singular exponent"):
-        assemble_residual(specs, _state(mesh=64), grid, np.zeros((2, 65)))
+        assemble_residual(specs, _state(), grid, np.zeros((2, 65)))
     with pytest.raises(ValueError, match="shape"):
-        assemble_residual(specs[:1], _state(mesh=64), grid, np.zeros(65))
+        assemble_residual(specs[:1], _state(), grid, np.zeros(65))
 
 
 def test_solve_problem_front_door():
-    sol = solve_problem(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), 400, "fast")
+    spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
+    sol = continuation_solve(spec, schedule_preset("fast"), RadialGrid.uniform(INTERVAL, 400))
     assert sol.converged and 0.9 < float(np.max(sol.u)) < 1.0
 
 
@@ -403,7 +403,7 @@ def test_gradient_mass_of_linear_ramp():
 def test_apriori_bounds_on_converged_rung():
     grid = RadialGrid.uniform(INTERVAL, 500)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    st = RegularizationState(p=1.2, n=100, eps=1e-4, mesh_size=500)
+    st = RegularizationState(p=1.2, n=100, eps=1e-4)
     sol = newton_solve(spec, st, grid, np.zeros(501))
     rep = apriori_bounds_report(spec, st, grid, sol.u)
     assert rep.source_mass == pytest.approx(8.0, rel=1e-13)  # 4 * |(-1,1)|

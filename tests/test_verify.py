@@ -6,6 +6,7 @@ balance, the moving-region residual, and the energy gap are second order in
 the spacing, while the headline residual is first order (one kink row).
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_level_set_decay_on_closed_form():
     grid = RadialGrid.uniform(dom, 1000)
     candidate = sampled_explicit(grid, 4.0)
     for p in (1.5, 1.1):
-        state = RegularizationState(p=p, n=100, eps=1e-6, mesh_size=1000)
+        state = RegularizationState(p=p, n=100, eps=1e-6)
         records = level_set_decay_check(candidate, state, spec, grid)
         assert len(records) == 9
         assert all(r.holds for r in records)
@@ -246,14 +247,14 @@ def test_level_set_decay_on_closed_form():
 def test_level_set_decay_guards():
     spec1, dom1 = make_problem(1, 4)
     grid1 = RadialGrid.uniform(dom1, 200)
-    state = RegularizationState(p=1.5, n=100, eps=1e-6, mesh_size=200)
+    state = RegularizationState(p=1.5, n=100, eps=1e-6)
     with pytest.raises(ValueError, match="dimension"):
         level_set_decay_check(sampled_explicit(grid1, 4.0), state, spec1, grid1)
     spec2, dom2 = make_problem(2, 4)
     grid2 = RadialGrid.uniform(dom2, 200)
     candidate = sampled_explicit(grid2, 4.0)
     for p in (2.0, 2.5):
-        bad = RegularizationState(p=p, n=100, eps=1e-6, mesh_size=200)
+        bad = RegularizationState(p=p, n=100, eps=1e-6)
         with pytest.raises(ValueError, match="1 < p < dim"):
             level_set_decay_check(candidate, bad, spec2, grid2)
 
@@ -264,7 +265,7 @@ def test_level_set_decay_dust_is_vacuous():
     # branch dust shrinks only linearly in eps
     spec, dom = make_problem(2, 1.0)
     grid = RadialGrid.uniform(dom, 200)
-    state = RegularizationState(p=1.05, n=100, eps=1e-3, mesh_size=200)
+    state = RegularizationState(p=1.05, n=100, eps=1e-3)
     dust = 5e-4 * np.sin(np.pi * grid.nodes) ** 2
     z = np.zeros(grid.mesh_size)
     assert level_set_decay_check((dust, z), state, spec, grid) == ()
@@ -281,3 +282,13 @@ def test_sampled_candidates_need_the_unit_ball():
     grid = RadialGrid.uniform(DomainSpec("ball", 2), 100)
     u, z = sampled_explicit(grid, 4.0)
     assert u.shape == (101,) and z.shape == (100,)
+
+
+def test_import_of_the_verify_module_yields_the_module():
+    # the package holds no re-exports, so the function `verify` cannot
+    # shadow the submodule of the same name
+    module = importlib.import_module("onelap.verify")
+    import onelap.verify
+
+    assert onelap.verify is module
+    assert onelap.verify.Tolerances is Tolerances
