@@ -11,9 +11,10 @@ runs with identical flags produce byte-identical files.  Relative output
 paths land in $ONELAP_OUT_DIR when that is set, the working directory
 otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override
-the file, and a value its flag cannot take exits 1.  Required flags
-(`--lambda`, `--lambdas`, `--input`, `--fnorm`) cannot come from the file:
-it is read after a first parse, which rejects a missing required flag.
+the file, and a key that names no flag or a value its flag cannot take
+exits 1.  Required flags (`--lambda`, `--lambdas`, `--input`, `--fnorm`)
+cannot come from the file: it is read after a first parse, which rejects a
+missing required flag.
 
 `sweep --mode solver` solves all its strengths together, on one thread: each
 Newton iteration assembles and solves every strength still iterating in one
@@ -155,11 +156,15 @@ def _typed(what: str, value, kind):
         raise _CliError(f"{what} is not a {kind.__name__}: {value!r}") from None
 
 
+# schedule knobs that `solve` and `sweep` take from a config file only
+_KNOBS = (("newton_tol", float), ("step_tol", float), ("max_iter", int))
+
+
 def _schedule_for(args) -> ContinuationSchedule:
     rungs = getattr(args, "rungs", None)
     knobs = {
         k: _typed(f"config {k!r}", getattr(args, k), t)
-        for k, t in (("newton_tol", float), ("step_tol", float), ("max_iter", int))
+        for k, t in _KNOBS
         if getattr(args, k, None) is not None
     }
     if rungs:
@@ -341,6 +346,9 @@ def cmd_sweep(args) -> int:
     x = np.linspace(-1.0, 1.0, args.samples)
     base = _strip_ext(_resolve(args.output, f"sweep_{args.mode}_{args.dim}d"))
     if args.mode == "oracle":
+        if args.gamma != 1.0:
+            # the closed forms are the gamma = 1 solutions
+            raise _CliError(f"sweep --mode oracle knows only gamma = 1, got --gamma {args.gamma:g}")
         if args.dim == 1:
             curves = oracle.sweep_curves(lams, args.samples).values
         else:
@@ -433,8 +441,16 @@ _CONFIG_KINDS = {int: (int,), float: (int, float)}
 
 
 def _check_config(sub, cfg: dict, path) -> None:
-    """Reject a config value that its flag cannot take, before it reaches
-    the code behind the flag."""
+    """Reject a config key that names no flag of the subcommand (nor a
+    schedule knob, for the subcommands that take a schedule) and a value
+    that its flag cannot take, before either reaches the code behind the
+    flag."""
+    keys = {action.dest for action in sub._actions if action.dest != "help"}
+    if "schedule" in keys:
+        keys.update(["rungs"] + [k for k, _ in _KNOBS])
+    for key in cfg:
+        if key not in keys:
+            raise _CliError(f"{path}: unknown config key {key!r}")
     for action in sub._actions:
         if action.dest not in cfg:
             continue

@@ -126,7 +126,8 @@ def absorption_truncated_prime(s, n, gamma):
     # branch; where s >= 1 a zero base makes it inf or nan for g < 1, but
     # those entries are overwritten below
     out = base
-    out **= g - 1.0
+    with np.errstate(divide="ignore"):
+        out **= g - 1.0
     out *= g
     out *= inv
     out *= inv

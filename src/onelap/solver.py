@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import DomainSpec, sphere_area, unit_ball_volume
 from .scalar import absorption_truncated, absorption_truncated_prime, truncate
@@ -501,6 +500,31 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     product: above 10 000 elements that wakes BLAS worker threads, which
     then spin without helping."""
     return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in banded form ab (shape (3, M),
+    ab[1 + i - j, j] = a[i, j]) for the float64 right-hand side b.
+
+    This is scipy.linalg.solve_banded((1, 1), ab, b) without its input
+    validation: the same LAPACK routine dgtsv on the same diagonals, so the
+    solution agrees bit for bit.  scipy is imported here, at the first call,
+    so the commands that never solve start without it.  A zero pivot raises
+    LinAlgError("singular matrix").
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only tridiagonal systems, (l, u) = (1, 1), are supported, got {l_and_u!r}")
+    # dgtsv works on copies, so ab stays intact for _newton_steps' fallback;
+    # letting it overwrite b as well saves a copy, but on the solve-fine
+    # benchmark workload that raised peak memory by about 3 MB
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgtsv")
+    return x
 
 
 def _newton_steps(ab: np.ndarray, residual: np.ndarray):

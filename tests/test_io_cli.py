@@ -9,6 +9,10 @@ tests run `main` in process and check the exit-status contract: 0 success,
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,16 @@ def test_sweep_oracle_curves(tmp_path):
         assert np.allclose(c, c[::-1], atol=1e-15)
 
 
+def test_sweep_oracle_rejects_gamma_other_than_one(tmp_path, capsys):
+    # the closed forms are the gamma = 1 solutions; a gamma = 2 sweep must
+    # not write them under a gamma = 2 name
+    rc = cli.main(["sweep", "--mode", "oracle", "--gamma", "2", "--lambdas", "2,4", "--samples", "5",
+                   "--output", str(tmp_path / "g2")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sweep --mode oracle knows only gamma = 1, got --gamma 2\n"
+    assert list(tmp_path.glob("g2*")) == []
+
+
 def test_sweep_rejects_subcritical_strengths(capsys):
     rc = cli.main(["sweep", "--mode", "oracle", "--lambdas", "0.5,1"])
     assert rc == 1
@@ -414,6 +428,22 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     assert list(tmp_path.glob("solve_*")) == []
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["cheeger"], {"mesch": 10, "dimm": 3}, "mesch"),
+    (["oracle", "--lambda", "3"], {"mesh": 64, "max_iter": 5}, "max_iter"),
+    (["verify", "--input", "none"], {"rungs": [[1.1, 10, 0.01]]}, "rungs"),
+    (["solve", "--lambda", "4"], {"max_iter": 5, "command": "oracle"}, "command"),
+])
+def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
+    # a key that names no flag of the subcommand, nor a schedule knob of
+    # solve or sweep, is a typo and must not be dropped in silence
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {cfg}: unknown config key {key!r}\n")
+
+
 def test_config_defaults_yield_to_explicit_flags(tmp_path, capsys):
     cfg = tmp_path / "dim.json"
     cfg.write_text(json.dumps({"dim": 2}))
@@ -428,3 +458,30 @@ def test_relative_output_lands_in_env_dir(_out_dir):
     header, cols = io.read_csv(_out_dir / "c.csv")
     assert header == ["lower", "upper", "exact"]
     assert cols[2][0] == 2.0
+
+
+_NO_SOLVE = """
+import sys
+from onelap import cli
+runs = [
+    ["oracle", "--dim", "2", "--lambda", "4", "--mesh", "200", "--output", "o"],
+    ["verify", "--input", "o"],
+    ["cheeger", "--dim", "3"],
+    ["smallness", "--dim", "2", "--lambda", "1", "--fnorm", "1"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+before = "scipy.linalg" in sys.modules
+cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "64", "--schedule", "fast"])
+print("scipy.linalg loaded before and after a solve:", before, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_commands_that_never_solve_start_without_scipy(tmp_path):
+    # scipy.linalg is a third of the CLI's start-up; only the banded solve
+    # needs it, and it loads it on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_SOLVE], cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "ONELAP_OUT_DIR": str(tmp_path)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy.linalg loaded before and after a solve: False True"

@@ -2,6 +2,7 @@
 and the singular primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_truncated_absorption_matches_nested_where_bitwise(n, gamma):
             assert isinstance(h, float) and isinstance(d, float)
             assert np.float64(h).tobytes() == value[k].tobytes()
             assert np.float64(d).tobytes() == slope[k].tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_truncated_absorption_prime_is_silent_above_one(gamma):
+    # for gamma < 1 the middle-branch power meets a zero base at s >= 1;
+    # those entries are zero and no divide-by-zero warning may escape
+    s = np.array([0.25, 0.5, 0.999, 1.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = absorption_truncated_prime(s, 100, gamma)
+        scalars = [absorption_truncated_prime(float(x), 100, gamma) for x in s]
+    assert slope[3] == 0.0 and slope[4] == 0.0
+    with np.errstate(divide="ignore"):
+        want = _nested_where(s, 100, gamma)[1]
+    assert slope.tobytes() == want.tobytes()
+    assert np.array(scalars).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- exact branch

@@ -296,6 +296,66 @@ def test_batched_continuation_matches_single_solves():
             want.iterations, want.stop_reason, want.residual_norm)
 
 
+def _tridiagonal(rng, m, pivoting):
+    """A random banded (3, m) system that is diagonally dominant by rows.
+    With `pivoting`, every even column's sub-diagonal entry outgrows its
+    diagonal one, so gtsv swaps rows there; otherwise it never does."""
+    sign = rng.choice([-1.0, 1.0], (3, m))
+    ab = rng.uniform(-1.0, 1.0, (3, m))
+    if pivoting:
+        ab[0] *= 0.1
+        ab[1, 0::2] = rng.uniform(0.5, 1.0, ab[1, 0::2].size)
+        ab[1, 1::2] = rng.uniform(8.0, 12.0, ab[1, 1::2].size)
+        ab[2, 0::2] = rng.uniform(1.5, 2.5, ab[2, 0::2].size)
+        ab[2, 1::2] *= 0.3
+        ab[1:] *= sign[1:]
+    else:
+        ab[1] += 3.0 * sign[1]
+    return ab
+
+
+@pytest.mark.parametrize("pivoting", [False, True])
+@pytest.mark.parametrize("m", [8, 1000, 20000])
+def test_solve_banded_matches_scipy_bitwise(m, pivoting):
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    from scipy.linalg.lapack import dgtsv
+
+    rng = np.random.default_rng(m + pivoting)
+    ab = _tridiagonal(rng, m, pivoting)
+    b = rng.standard_normal(m)
+    # gtsv leaves the second super-diagonal of U in its first m-2 entries,
+    # nonzero only where it swapped rows
+    du2 = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[0][:-1]
+    assert np.count_nonzero(du2) == (m // 2 - 1 if pivoting else 0)
+    want = scipy_solve_banded((1, 1), ab, b)
+    kept = ab.copy()
+    got = solver.solve_banded((1, 1), ab, b)
+    assert got.tobytes() == want.tobytes()
+    assert ab.tobytes() == kept.tobytes()  # the one-block-at-a-time fallback reuses ab
+
+    # K = 3 stacked blocks with zero coupling: the stacked solve equals
+    # scipy's and, block by block, each block's own solve
+    blocks = np.concatenate([_tridiagonal(rng, m, pivoting) for _ in range(3)], axis=1)
+    blocks[0, ::m] = 0.0  # super-diagonal entries that reach into the block above
+    blocks[2, m - 1::m] = 0.0  # sub-diagonal entries that reach into the block below
+    rhs = rng.standard_normal(3 * m)
+    want = scipy_solve_banded((1, 1), blocks, rhs)
+    got = solver.solve_banded((1, 1), blocks, rhs)
+    assert got.tobytes() == want.tobytes()
+    for j in range(3):
+        one = solver.solve_banded((1, 1), blocks[:, j * m:(j + 1) * m], rhs[j * m:(j + 1) * m])
+        assert one.tobytes() == got[j * m:(j + 1) * m].tobytes()
+
+
+def test_solve_banded_rejects_singular_and_non_tridiagonal_systems():
+    ab = np.ones((3, 8))
+    ab[:, 3] = 0.0  # a zero column
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solver.solve_banded((1, 1), ab, np.ones(8))
+    with pytest.raises(ValueError, match="tridiagonal"):
+        solver.solve_banded((2, 1), np.ones((4, 8)), np.ones(8))
+
+
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
 def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     # the fake solve breaks the lam = 3 block at the zero start (right-hand
