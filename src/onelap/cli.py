@@ -42,6 +42,7 @@ from .solver import (
     RegularizationState,
     SingularJacobian,
     continuation_solve,
+    plateau_extent,
     schedule_preset,
 )
 
@@ -92,7 +93,7 @@ def _build_parser():
     sweep.add_argument("--dim", type=int, default=1)
     sweep.add_argument("--gamma", type=float, default=1.0)
     sweep.add_argument("--lambdas", required=True, help="comma list or start:stop:step, e.g. 2:20:1")
-    sweep.add_argument("--samples", type=int, default=401)
+    sweep.add_argument("--samples", type=int, default=401, help="points on the diameter [-1, 1], at least 2")
     sweep.add_argument("--mesh", type=int, default=2000)
     sweep.add_argument("--schedule", default="default")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -231,8 +232,8 @@ def _write_bundle(base, grid, spec, sol, schedule_info, generator: str, extra=No
                 "iterations": r.iterations,
                 "residual_norm": r.residual_norm,
                 "stop_reason": r.stop_reason,
-                "sup_norm": r.sup_norm,
-                "plateau_radius": r.plateau_radius,
+                "sup_norm": float(np.max(np.abs(r.u))),
+                "plateau_radius": plateau_extent(grid, r.u),
             }
             for r in sol.history
         ],
@@ -336,6 +337,8 @@ def cmd_sweep(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     if not lams:
         raise _CliError("empty lambda list")
+    if args.samples < 2:
+        raise _CliError(f"need at least 2 samples, got --samples {args.samples}")
     domain = DomainSpec(kind="ball", dim=args.dim, radius=1.0)
     h = cheeger_bounds(domain).exact
     bad = [lam for lam in lams if lam <= h]
@@ -349,16 +352,12 @@ def cmd_sweep(args) -> int:
         if args.gamma != 1.0:
             # the closed forms are the gamma = 1 solutions
             raise _CliError(f"sweep --mode oracle knows only gamma = 1, got --gamma {args.gamma:g}")
-        if args.dim == 1:
-            curves = oracle.sweep_curves(lams, args.samples).values
-        else:
-            curves = np.stack([oracle.profile(args.dim, lam, np.abs(x)) for lam in lams])
+        curves = [oracle.profile(args.dim, lam, np.abs(x)) for lam in lams]
         header = ["x"] + [f"u_lam{lam:g}" for lam in lams]
-        cols = [x] + [curves[i] for i in range(len(lams))]
         if args.format == "csv":
-            path = io.write_csv(base.parent / f"{base.name}.csv", header, cols)
+            path = io.write_csv(base.parent / f"{base.name}.csv", header, [x] + curves)
         else:
-            payload = {"x": x, "curves": {f"{lam:g}": curves[i] for i, lam in enumerate(lams)}}
+            payload = {"x": x, "curves": {f"{lam:g}": c for lam, c in zip(lams, curves)}}
             path = io.write_json(base.parent / f"{base.name}.json", payload)
         print(f"wrote {path}")
         return 0

@@ -20,11 +20,9 @@ from .scalar import _as_array, _ret
 
 __all__ = [
     "ExplicitSolution",
-    "CurveFamily",
     "profile",
     "flux",
     "trivial_flux",
-    "sweep_curves",
 ]
 
 
@@ -112,34 +110,3 @@ class ExplicitSolution:
     def z(self, r):
         return flux(self.dim, self.lam, r)
 
-
-@dataclass(frozen=True)
-class CurveFamily:
-    """One-dimensional curves u(x) on [-1, 1], one row per source strength."""
-
-    x: np.ndarray
-    lambdas: np.ndarray
-    values: np.ndarray  # shape (len(lambdas), len(x))
-
-
-def sweep_curves(lambdas, samples: int) -> CurveFamily:
-    """Sample the one-dimensional closed form on a uniform grid over [-1, 1]
-    for each strength in `lambdas` (all must exceed 1, the interval Cheeger
-    constant).  Each curve is even in x, flat on [-1/lam, 1/lam], and exactly
-    zero at both endpoints."""
-    lams = [float(l) for l in np.atleast_1d(np.asarray(lambdas, dtype=float))]
-    if len(lams) == 0:
-        raise ValueError("need at least one source strength")
-    for l in lams:
-        if not l > 1.0:
-            raise ValueError(
-                f"one-dimensional nontrivial regime requires strength > 1, got {l}"
-            )
-    if int(samples) != samples or samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples!r}")
-    x = np.linspace(-1.0, 1.0, int(samples))
-    r = np.abs(x)
-    values = np.empty((len(lams), x.size))
-    for i, l in enumerate(lams):
-        values[i] = profile(1, l, r)
-    return CurveFamily(x=x, lambdas=np.asarray(lams), values=values)

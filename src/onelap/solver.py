@@ -38,7 +38,6 @@ __all__ = [
     "RadialGrid",
     "DiscreteSolution",
     "ContinuationSchedule",
-    "RungReport",
     "AprioriReport",
     "NonConvergence",
     "SingularJacobian",
@@ -179,21 +178,6 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class RungReport:
-    """Per-rung continuation diagnostics, including the converged iterate."""
-
-    index: int
-    state: RegularizationState
-    iterations: int
-    residual_norm: float
-    stop_reason: str  # "residual" or "stagnation"
-    sup_norm: float
-    gradient_mass: float  # discrete integral of |Du|^p
-    plateau_radius: float
-    solution: "DiscreteSolution"
-
-
-@dataclass(frozen=True)
 class DiscreteSolution:
     """Nodal state, midpoint flux, and nodal residual for one rung."""
 
@@ -205,7 +189,7 @@ class DiscreteSolution:
     iterations: int
     residual_norm: float
     stop_reason: str = "residual"
-    history: tuple = ()
+    history: tuple = ()  # after a continuation: each rung's solution, this one's last
 
 
 @dataclass(frozen=True)
@@ -611,24 +595,34 @@ def newton_solve(
     results = [None] * len(specs)
     counts = [0] * len(specs)
 
-    def finish(i, u, residual, its, rmax, reason):
-        counts[i] = its
-        sol = DiscreteSolution(
-            u=u.copy(),
-            z=reconstruct_flux(state, grid, u),
-            residual=residual.copy(),
-            state=state,
-            converged=reason != "stalled",
-            iterations=its,
-            residual_norm=float(rmax),
-            stop_reason=reason,
-        )
-        if reason == "stalled":
-            sol = NonConvergence(
-                f"Newton stalled at residual {rmax:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
-                last=sol,
+    def leave(gone, its, reason):
+        """End the strengths in the rows `gone` after `its` iterations.  A
+        row's reason is a stop reason (one for all rows, or one per row) or
+        the exception that ended it; "stalled" ends it in NonConvergence.
+        Returns the mask of the rows that stay."""
+        for j in np.flatnonzero(gone):
+            why = reason if isinstance(reason, str) else reason[j]
+            counts[rows[j]] = its
+            if isinstance(why, Exception):
+                results[rows[j]] = why
+                continue
+            sol = DiscreteSolution(
+                u=u[j].copy(),
+                z=reconstruct_flux(state, grid, u[j]),
+                residual=residual[j].copy(),
+                state=state,
+                converged=why != "stalled",
+                iterations=its,
+                residual_norm=float(rmax[j]),
+                stop_reason=str(why),
             )
-        results[i] = sol
+            if why == "stalled":
+                sol = NonConvergence(
+                    f"Newton stalled at residual {rmax[j]:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
+                    last=sol,
+                )
+            results[rows[j]] = sol
+        return ~gone
 
     # rows[j] is the strength held in row j of u, residual, ab and rmax;
     # rows leave these arrays as their strengths finish.  `pieces` holds the
@@ -646,11 +640,9 @@ def newton_solve(
         allow = np.maximum(tol, _row_allowance(ab, u))
         done = (np.abs(residual) <= allow).all(axis=1)
         if any(done):
-            for j in np.flatnonzero(done):
-                finish(rows[j], u[j], residual[j], its - 1, rmax[j], "residual" if rmax[j] <= tol else "float_floor")
-            if all(done):
+            go = leave(done, its - 1, np.where(rmax <= tol, "residual", "float_floor"))
+            if not any(go):
                 break
-            go = ~done
             ab = ab.reshape(3, go.size, m)[:, go].reshape(3, -1)
             rows, u, rmax, allow, pieces = rows[go], u[go], rmax[go], allow[go], pieces.take(go)
             residual = pieces.residual
@@ -658,15 +650,9 @@ def newton_solve(
         stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(u).max(axis=1))
         stop[list(failed)] = True
         if any(stop):
-            for j in np.flatnonzero(stop):
-                if j in failed:
-                    counts[rows[j]] = its - 1
-                    results[rows[j]] = failed[j]
-                else:
-                    finish(rows[j], u[j], residual[j], its - 1, rmax[j], "stagnation")
-            if all(stop):
+            go = leave(stop, its - 1, [failed.get(j, "stagnation") for j in range(rows.size)])
+            if not any(go):
                 break
-            go = ~stop
             rows, u, rmax, allow, step, pieces = rows[go], u[go], rmax[go], allow[go], step[go], pieces.take(go)
             residual = pieces.residual
         rnorm = _row_norms(residual / allow)
@@ -692,18 +678,15 @@ def newton_solve(
                 pos, step, allow, rnorm, source = pos[~ok], step[~ok], allow[~ok], rnorm[~ok], source[~ok]
             alpha *= 0.5
         if not all(accepted):
-            # a line-search dead end ends the strength on its last iterate
-            for j in np.flatnonzero(~accepted):
-                finish(rows[j], u[j], residual[j], its, rmax[j], "residual" if rmax[j] <= tol else "stalled")
-            if not any(accepted):
+            # a line-search dead end ends the strength on its last iterate;
+            # its rows failed the done test, so their residual is above tol
+            if not any(leave(~accepted, its, "stalled")):
                 break
             rows, u, pieces = rows[accepted], u[accepted], pieces.take(accepted)
         residual, ab = assemble_system(tuple(specs[i] for i in rows), state, grid, u, pieces=pieces)
         rmax = np.abs(residual).max(axis=1)
     else:
-        # out of iterations
-        for j, i in enumerate(rows):
-            finish(i, u[j], residual[j], its, rmax[j], "residual" if rmax[j] <= tol else "stalled")
+        leave(np.ones(rows.size, dtype=bool), its, np.where(rmax <= tol, "residual", "stalled"))
     if single:
         return _one(results[0])
     return BatchSolution(results=tuple(results), iterations=max(counts))
@@ -734,7 +717,8 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
 
 def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     """Solve the schedule in order, warm-starting each rung, and return the
-    final rung's solution with a full per-rung history attached.
+    final rung's solution, whose `history` holds every rung's solution (that
+    of a stall's NonConvergence.last ends with the stalled rung).
 
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb the ladder together, one batched `newton_solve` per rung, and the
@@ -770,30 +754,20 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
         )
         climbing = []
         for i, sol in zip(rows, batch.results):
-            results[i] = sol
             if isinstance(sol, Exception):
                 sol.rung = k
+                if isinstance(sol, NonConvergence):
+                    sol.last = replace(sol.last, history=(*histories[i], sol.last))
+                results[i] = sol
                 continue
             u[i] = sol.u
-            histories[i].append(
-                RungReport(
-                    index=k,
-                    state=st,
-                    iterations=sol.iterations,
-                    residual_norm=sol.residual_norm,
-                    stop_reason=sol.stop_reason,
-                    sup_norm=float(np.max(np.abs(sol.u))),
-                    gradient_mass=gradient_mass(grid, sol.u, st.p),
-                    plateau_radius=plateau_extent(grid, sol.u),
-                    solution=sol,
-                )
-            )
+            histories[i].append(sol)
             climbing.append(i)
         rows = climbing
         if not rows:
             break
     for i in rows:
-        results[i] = replace(results[i], history=tuple(histories[i]))
+        results[i] = replace(histories[i][-1], history=tuple(histories[i]))
     if isinstance(spec, ProblemSpec):
         return _one(results[0])
     return results

@@ -27,7 +27,7 @@ from onelap.scalar import (absorption_exact, absorption_primitive,
 from onelap.solver import (ProblemSpec, RadialGrid, RegularizationState,
                            apriori_bounds_report, assemble_residual,
                            assemble_system, continuation_solve,
-                           schedule_preset)
+                           plateau_extent, schedule_preset)
 from onelap.verify import level_set_decay_check, sampled_explicit, verify
 
 
@@ -120,7 +120,7 @@ def test_criterion_3_solver_matches_closed_form(interval_solve):
     assert float(np.max(np.abs(sol.u - u_ref))) <= 1e-2
     away = np.abs(grid.midpoints - 1.0 / lam) > 1.5 * grid.spacing
     assert float(np.max(np.abs(sol.z[away] - z_ref[away]))) <= 5e-2
-    assert sol.history[-1].plateau_radius == approx(0.25, abs=2 * grid.spacing)
+    assert plateau_extent(grid, sol.history[-1].u) == approx(0.25, abs=2 * grid.spacing)
     assert elapsed < 60.0
 
 
@@ -144,12 +144,12 @@ def test_criterion_5_apriori_and_level_set_bounds(interval_solve, rigidity_scan)
     checked = live = 0
     for spec, grid, sol in everything:
         for rung in sol.history:
-            rep = apriori_bounds_report(spec, rung.state, grid, rung.solution.u, slack=0.05)
+            rep = apriori_bounds_report(spec, rung.state, grid, rung.u, slack=0.05)
             assert rep.gradient_bound_ok and rep.absorption_bound_ok, (
                 spec.domain.kind, spec.constant_source, rung.state.p)
             checked += 1
             if grid.dim == 2 and rung.state.p < 2.0:
-                records = level_set_decay_check(rung.solution, rung.state, spec, grid, tol=0.1)
+                records = level_set_decay_check(rung, rung.state, spec, grid, tol=0.1)
                 live += bool(records)
                 assert all(rec.holds for rec in records), (
                     spec.constant_source, rung.state.p)

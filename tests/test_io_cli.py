@@ -289,6 +289,21 @@ def test_sweep_solver_mode(tmp_path):
     assert reports["4"]["passed"] is True
 
 
+@pytest.mark.parametrize("mode", ["oracle", "solver"])
+@pytest.mark.parametrize("samples", [0, 1, -3])
+def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mode, samples):
+    # a section needs both ends; the check comes before any solve
+    def no_solve(*args):
+        raise AssertionError("solved before rejecting --samples")
+
+    monkeypatch.setattr(cli, "continuation_solve", no_solve)
+    rc = cli.main(["sweep", "--mode", mode, "--dim", "2", "--lambdas", "4", "--samples", str(samples),
+                   "--mesh", "100", "--output", str(tmp_path / "sw")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: need at least 2 samples, got --samples {samples}\n"
+    assert list(tmp_path.glob("sw*")) == []
+
+
 def _sweep(tmp_path, lams, mesh):
     return cli.main(["sweep", "--mode", "solver", "--dim", "1", "--lambdas", lams, "--samples", "41",
                      "--mesh", str(mesh), "--output", str(tmp_path / "sw")])
@@ -318,6 +333,29 @@ def test_sweep_names_only_the_stalled_strength(tmp_path, capsys):
     assert err.splitlines() == ["lambda=6 stalled at rung 8"]
     assert not (tmp_path / "sw.csv").exists()
     assert not (tmp_path / "sw_reports.json").exists()
+
+
+def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, capsys):
+    # dim 1 at lam = 6 stalls at rung 8 on this mesh: the bundle records the
+    # eight rungs it climbed and the stalled ninth
+    rc = cli.main(["solve", "--domain", "ball", "--dim", "1", "--lambda", "6", "--mesh", "500",
+                   "--output", str(tmp_path / "stall")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("continuation stalled at rung 8: Newton stalled")
+    meta = io.read_json(tmp_path / "stall.meta.json")
+    assert meta["failed_rung"] == 8 and meta["converged"] is False
+    rungs = meta["rungs"]
+    assert len(rungs) == 9
+    assert [[r["p"], r["n"], r["eps"]] for r in rungs] == meta["schedule"]["rungs"][:9]
+    assert all(r["stop_reason"] in ("residual", "float_floor", "stagnation") for r in rungs[:-1])
+    last = rungs[-1]
+    assert last["stop_reason"] == meta["stop_reason"] == "stalled"
+    assert last["iterations"] == schedule_preset("default").max_iter
+    assert last["residual_norm"] == meta["residual_norm"]
+    rec = io.read_solution(tmp_path / "stall")
+    assert last["sup_norm"] == float(np.max(np.abs(rec.u)))
+    grid = RadialGrid.uniform(DomainSpec("ball", 1), 500)
+    assert last["plateau_radius"] == solver.plateau_extent(grid, rec.u)
 
 
 def _singular_at(lam, mesh, monkeypatch):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from onelap import cli, io
 from onelap.oracle import (
-    CurveFamily,
     ExplicitSolution,
     flux,
     plateau_height,
     profile,
-    sweep_curves,
     trivial_flux,
 )
 
@@ -141,28 +140,40 @@ def test_explicit_solution_record():
         ExplicitSolution(3, 2.0)
 
 
-def test_sweep_family_shape_and_exactness():
-    fam = sweep_curves([2.0, 5.0, 9.0], samples=401)
-    assert isinstance(fam, CurveFamily)
-    assert fam.x.shape == (401,) and fam.values.shape == (3, 401)
-    assert fam.x[0] == -1.0 and fam.x[-1] == 1.0
-    for lam, row in zip(fam.lambdas, fam.values):
+def _oracle_sweep(tmp_path, lambdas, samples):
+    """The exit code of a one-dimensional `sweep --mode oracle`, and its CSV
+    as the x column and the (strengths, samples) curves when it wrote one."""
+    base = tmp_path / "curves"
+    rc = cli.main(["sweep", "--mode", "oracle", "--dim", "1", "--lambdas", lambdas,
+                   "--samples", str(samples), "--output", str(base)])
+    if rc != 0:
+        assert list(tmp_path.glob("curves*")) == []
+        return rc, None, None
+    header, cols = io.read_csv(tmp_path / "curves.csv")
+    assert header == ["x"] + [f"u_lam{lam:g}" for lam in cli._parse_lambdas(lambdas)]
+    return rc, cols[0], np.stack(cols[1:])
+
+
+def test_sweep_family_shape_and_exactness(tmp_path):
+    rc, x, values = _oracle_sweep(tmp_path, "2,5,9", 401)
+    assert rc == 0
+    assert x.shape == (401,) and values.shape == (3, 401)
+    assert x[0] == -1.0 and x[-1] == 1.0
+    for lam, row in zip((2.0, 5.0, 9.0), values):
         assert row[0] == 0.0 and row[-1] == 0.0
-        core = row[np.abs(fam.x) <= 1.0 / lam]
+        core = row[np.abs(x) <= 1.0 / lam]
         assert np.max(core) - np.min(core) == 0.0
         # even in x up to grid rounding (linspace is ulp-symmetric only)
         np.testing.assert_allclose(row, row[::-1], atol=1e-15, rtol=0)
 
 
-def test_sweep_family_monotone_in_strength():
-    fam = sweep_curves(np.arange(2.0, 21.0), samples=201)
-    vals = fam.values
-    interior = np.abs(fam.x) < 1.0
+def test_sweep_family_monotone_in_strength(tmp_path):
+    rc, x, vals = _oracle_sweep(tmp_path, "2:20:1", 201)
+    assert rc == 0 and vals.shape == (19, 201)
+    interior = np.abs(x) < 1.0
     assert np.all(np.diff(vals[:, interior], axis=0) > 0.0)
 
 
-def test_sweep_rejects_trivial_strengths():
-    with pytest.raises(ValueError):
-        sweep_curves([2.0, 1.0], samples=11)
-    with pytest.raises(ValueError):
-        sweep_curves([3.0], samples=1)
+def test_sweep_rejects_trivial_strengths(tmp_path):
+    assert _oracle_sweep(tmp_path, "2,1", 11)[0] == 1
+    assert _oracle_sweep(tmp_path, "3", 1)[0] == 1

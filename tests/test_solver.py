@@ -246,16 +246,17 @@ def test_continuation_attaches_failing_rung():
 def test_continuation_history_and_fast_preset():
     grid = RadialGrid.uniform(INTERVAL, 400)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, schedule_preset("fast"), grid)
+    schedule = schedule_preset("fast")
+    sol = continuation_solve(spec, schedule, grid)
     assert sol.converged
-    assert len(sol.history) == len(schedule_preset("fast").states)
-    assert [h.index for h in sol.history] == list(range(len(sol.history)))
-    sups = [h.sup_norm for h in sol.history]
+    assert len(sol.history) == len(schedule.states)
+    assert [h.state for h in sol.history] == list(schedule.states)
+    sups = [float(np.max(np.abs(h.u))) for h in sol.history]
     assert sups[-1] == pytest.approx(float(np.max(sol.u)), rel=1e-12)
     # the quick-look preset stops at eps = 1e-6, where the slope-floor
     # detector still underestimates the flat core; only the height is firm
     assert sups[-1] == pytest.approx(1.0 - np.exp(-3.0), abs=5e-3)
-    assert 0.0 <= sol.history[-1].plateau_radius <= 0.26
+    assert 0.0 <= plateau_extent(grid, sol.history[-1].u) <= 0.26
 
 
 def test_trivial_regime_collapses_to_dust():
@@ -263,11 +264,12 @@ def test_trivial_regime_collapses_to_dust():
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=0.5)
     sol = continuation_solve(spec, schedule_preset("default"), grid)
     assert float(np.max(np.abs(sol.u))) <= 1e-6
-    assert sol.history[-1].plateau_radius == 1.0
+    assert plateau_extent(grid, sol.history[-1].u) == 1.0
 
 
 def _rung_trace(sol):
-    return [(h.iterations, h.stop_reason, h.residual_norm, h.sup_norm) for h in sol.history]
+    return [(h.state, h.iterations, h.stop_reason, h.residual_norm, float(np.max(np.abs(h.u))))
+            for h in sol.history]
 
 
 def test_batched_continuation_matches_single_solves():
@@ -287,9 +289,13 @@ def test_batched_continuation_matches_single_solves():
             assert spec.source == 6.0
             assert isinstance(got, NonConvergence) and got.rung == exc.rung == 8
             got, want = got.last, exc.last
+            # the rungs climbed, then the stalled one
+            assert len(got.history) == 9 and got.history[-1].stop_reason == "stalled"
         else:
-            assert _rung_trace(got) == _rung_trace(want)
             assert len(got.history) == len(sched.states)
+        assert _rung_trace(got) == _rung_trace(want)
+        for a, b in zip(got.history, want.history):
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.residual, b.residual)
         assert np.array_equal(got.u, want.u) and np.array_equal(got.residual, want.residual)
         assert np.array_equal(got.z, want.z)
         assert (got.iterations, got.stop_reason, got.residual_norm) == (
@@ -387,6 +393,28 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     with pytest.raises(SingularJacobian) as info:
         continuation_solve(specs[1], ContinuationSchedule((st,)), grid)
     assert info.value.rung == 0
+
+
+def test_batched_newton_out_of_iterations_next_to_an_immediate_solve():
+    # lam = 0 converges at iteration 0 while lam = 4 runs out of max_iter;
+    # each must come out of the batch exactly as from its own solve
+    grid = RadialGrid.uniform(INTERVAL, 64)
+    st = _state()
+    specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in (0.0, 4.0)]
+    batch = newton_solve(specs, st, grid, np.zeros((2, 65)), max_iter=3)
+    done, stalled = batch.results
+    assert batch.iterations == 3
+    want = newton_solve(specs[0], st, grid, np.zeros(65), max_iter=3)
+    with pytest.raises(NonConvergence) as info:
+        newton_solve(specs[1], st, grid, np.zeros(65), max_iter=3)
+    assert isinstance(stalled, NonConvergence) and str(stalled) == str(info.value)
+    assert done.converged and done.iterations == 0
+    assert (stalled.last.iterations, stalled.last.stop_reason, stalled.last.converged) == (3, "stalled", False)
+    for got, ref in ((done, want), (stalled.last, info.value.last)):
+        assert got.u.tobytes() == ref.u.tobytes() and got.z.tobytes() == ref.z.tobytes()
+        assert got.residual.tobytes() == ref.residual.tobytes()
+        assert (got.iterations, got.stop_reason, got.residual_norm) == (
+            ref.iterations, ref.stop_reason, ref.residual_norm)
 
 
 @pytest.mark.parametrize("lams", [(4.0,), (0.5, 3.0, 4.0)])
