@@ -11,10 +11,11 @@ runs with identical flags produce byte-identical files.  Relative output
 paths land in $ONELAP_OUT_DIR when that is set, the working directory
 otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override
-the file, and a key that names no flag or a value its flag cannot take
-exits 1.  Required flags (`--lambda`, `--lambdas`, `--input`, `--fnorm`)
-cannot come from the file: it is read after a first parse, which rejects a
-missing required flag.
+the file, and a key that names no flag or a value its flag cannot take (of
+the wrong type, or outside the flag's choices) exits 1, as does a
+non-finite number from a flag or the file.  Required flags (`--lambda`,
+`--lambdas`, `--input`, `--fnorm`) cannot come from the file: it is read
+after a first parse, which rejects a missing required flag.
 
 `sweep --mode solver` solves all its strengths together, on one thread: each
 Newton iteration assembles and solves every strength still iterating in one
@@ -137,7 +138,7 @@ def _parse_lambdas(text: str) -> list:
         if len(parts) != 3:
             raise _CliError(f"range must be start:stop:step, got {text!r}")
         a, b, st = (float(p) for p in parts)
-        if st <= 0 or b < a:
+        if not np.isfinite([a, b, st]).all() or st <= 0 or b < a:
             raise _CliError(f"bad range {text!r}")
         k = int(round((b - a) / st))
         vals = [a + i * st for i in range(k + 1)]
@@ -153,7 +154,7 @@ def _typed(what: str, value, kind):
     crash."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _CliError(f"{what} is not a {kind.__name__}: {value!r}") from None
 
 
@@ -179,7 +180,7 @@ def _schedule_for(args) -> ContinuationSchedule:
 
 
 def _report_payload(rep: VerificationReport) -> dict:
-    out = {
+    return {
         "defects": {
             "field_bound_defect": rep.field_bound_defect,
             "pairing_defect": rep.pairing_defect,
@@ -195,7 +196,6 @@ def _report_payload(rep: VerificationReport) -> dict:
         "verdicts": dict(rep.verdicts),
         "passed": rep.passed,
     }
-    return out
 
 
 def _print_verdicts(rep: VerificationReport) -> None:
@@ -203,24 +203,47 @@ def _print_verdicts(rep: VerificationReport) -> None:
     print(f"verdicts: {line}")
 
 
-def _meta_schedule(schedule: ContinuationSchedule, name: str) -> dict:
-    return {
-        "preset": name,
-        "rungs": [[s.p, s.n, s.eps] for s in schedule.states],
-    }
+# a bundle's problem record: the metadata fields `verify` rebuilds the
+# problem from, with their types
+_PROBLEM = (("kind", str), ("dim", int), ("radius", float), ("gamma", float), ("lam", float), ("mesh", int))
 
 
-def _write_bundle(base, grid, spec, sol, schedule_info, generator: str, extra=None) -> VerificationReport:
-    rep = verify(sol, spec, grid, Tolerances.for_solver())
+def _problem(kind, dim, radius, gamma, lam, mesh):
+    """The problem spec and grid that a problem record names."""
+    domain = DomainSpec(kind=kind, dim=dim, radius=radius)
+    return ProblemSpec(domain=domain, gamma=gamma, source=lam), RadialGrid.uniform(domain, mesh)
+
+
+def _write_bundle(base, problem: dict, spec, grid, u, z, residual, tol: Tolerances, meta: dict) -> VerificationReport:
+    """Certify (u, z) against `tol` and write the bundle; its metadata is
+    `meta`, the problem record and the verification report."""
+    rep = verify((u, z), spec, grid, tol)
+    main_path, _, _ = io.write_solution(base, grid, u, z, residual, {**meta, **problem, **_report_payload(rep)})
+    print(f"wrote {main_path} (+ _flux.csv, .meta.json)")
+    return rep
+
+
+def cmd_solve(args) -> int:
+    problem = {"kind": args.domain, "dim": args.dim, "radius": args.radius, "gamma": args.gamma,
+               "lam": args.lam, "mesh": args.mesh}
+    spec, grid = _problem(**problem)
+    schedule = _schedule_for(args)
+    base = _resolve(args.output, f"solve_{args.domain}{args.dim}_lam{args.lam:g}_M{args.mesh}")
+    failed_rung = None
+    try:
+        sol = continuation_solve(spec, schedule, grid)
+    except NonConvergence as exc:
+        print(f"continuation stalled at rung {exc.rung}: {exc}", file=sys.stderr)
+        sol, failed_rung = exc.last, exc.rung
+    except SingularJacobian as exc:
+        print(f"continuation failed at rung {exc.rung}: singular Jacobian ({exc})", file=sys.stderr)
+        return 2
     meta = {
-        "generator": generator,
-        "kind": spec.domain.kind,
-        "dim": spec.domain.dim,
-        "radius": spec.domain.radius,
-        "gamma": spec.gamma,
-        "lam": spec.constant_source,
-        "mesh": grid.mesh_size,
-        "schedule": schedule_info,
+        "generator": "solver",
+        "schedule": {
+            "preset": "custom" if getattr(args, "rungs", None) else args.schedule,
+            "rungs": [[s.p, s.n, s.eps] for s in schedule.states],
+        },
         "converged": sol.converged,
         "stop_reason": sol.stop_reason,
         "residual_norm": sol.residual_norm,
@@ -238,90 +261,46 @@ def _write_bundle(base, grid, spec, sol, schedule_info, generator: str, extra=No
             for r in sol.history
         ],
     }
-    meta.update(_report_payload(rep))
-    if extra:
-        meta.update(extra)
-    main_path, _, _ = io.write_solution(base, grid, sol.u, sol.z, sol.residual, meta)
-    print(f"wrote {main_path} (+ _flux.csv, .meta.json)")
+    if failed_rung is not None:
+        meta["failed_rung"] = failed_rung
+    rep = _write_bundle(base, problem, spec, grid, sol.u, sol.z, sol.residual, Tolerances.for_solver(), meta)
     print(
         f"sup norm {io.format_float(float(np.max(np.abs(sol.u))))}, "
         f"plateau radius {io.format_float(rep.plateau_radius_estimate)}"
     )
     _print_verdicts(rep)
-    return rep
-
-
-def cmd_solve(args) -> int:
-    domain = DomainSpec(kind=args.domain, dim=args.dim, radius=args.radius)
-    spec = ProblemSpec(domain=domain, gamma=args.gamma, source=args.lam)
-    grid = RadialGrid.uniform(domain, args.mesh)
-    schedule = _schedule_for(args)
-    base = _resolve(args.output, f"solve_{domain.kind}{domain.dim}_lam{args.lam:g}_M{args.mesh}")
-    preset_name = "custom" if getattr(args, "rungs", None) else args.schedule
-    info = _meta_schedule(schedule, preset_name)
-    try:
-        sol = continuation_solve(spec, schedule, grid)
-    except NonConvergence as exc:
-        print(f"continuation stalled at rung {exc.rung}: {exc}", file=sys.stderr)
-        _write_bundle(base, grid, spec, exc.last, info, "solver", {"failed_rung": exc.rung})
+    if failed_rung is not None:
         return 2
-    except SingularJacobian as exc:
-        print(f"continuation failed at rung {exc.rung}: singular Jacobian ({exc})", file=sys.stderr)
-        return 2
-    rep = _write_bundle(base, grid, spec, sol, info, "solver")
     return 0 if rep.passed else 1
 
 
 def cmd_oracle(args) -> int:
-    domain = DomainSpec(kind="ball", dim=args.dim, radius=1.0)
-    spec = ProblemSpec(domain=domain, gamma=1.0, source=args.lam)
-    grid = RadialGrid.uniform(domain, args.mesh)
+    problem = {"kind": "ball", "dim": args.dim, "radius": 1.0, "gamma": 1.0, "lam": args.lam, "mesh": args.mesh}
+    spec, grid = _problem(**problem)
     u, z = sampled_explicit(grid, args.lam)  # rejects lam <= dim
     residual = pointwise_residual((u, z), spec, grid)
-    rep = verify((u, z), spec, grid)
-    meta = {
-        "generator": "oracle",
-        "kind": domain.kind,
-        "dim": domain.dim,
-        "radius": domain.radius,
-        "gamma": 1.0,
-        "lam": args.lam,
-        "mesh": args.mesh,
-        "schedule": None,
-        "plateau_radius_exact": oracle.ExplicitSolution(args.dim, args.lam).plateau_radius,
-    }
-    meta.update(_report_payload(rep))
     base = _resolve(args.output, f"oracle_{args.dim}d_lam{args.lam:g}_M{args.mesh}")
-    main_path, _, _ = io.write_solution(base, grid, u, z, residual, meta)
-    print(f"wrote {main_path} (+ _flux.csv, .meta.json)")
+    meta = {"generator": "oracle", "schedule": None, "plateau_radius_exact": args.dim / args.lam}
+    rep = _write_bundle(base, problem, spec, grid, u, z, residual, Tolerances(), meta)
     _print_verdicts(rep)
     return 0 if rep.passed else 1
-
-
-def _meta_field(meta, key: str, kind):
-    """One typed field of a bundle's metadata; a missing or mistyped field
-    is bad input, not a crash."""
-    if not isinstance(meta, dict) or key not in meta:
-        raise _CliError(f"bundle metadata has no {key!r}")
-    return _typed(f"bundle metadata {key!r}", meta[key], kind)
 
 
 def cmd_verify(args) -> int:
     rec = io.read_solution(args.input)
     meta = rec.meta
-    domain = DomainSpec(
-        kind=_meta_field(meta, "kind", str),
-        dim=_meta_field(meta, "dim", int),
-        radius=_meta_field(meta, "radius", float),
-    )
-    spec = ProblemSpec(domain=domain, gamma=_meta_field(meta, "gamma", float), source=_meta_field(meta, "lam", float))
-    grid = RadialGrid.uniform(domain, _meta_field(meta, "mesh", int))
+    problem = {}
+    for key, kind in _PROBLEM:
+        # a missing or mistyped field is bad input, not a crash
+        if not isinstance(meta, dict) or key not in meta:
+            raise _CliError(f"bundle metadata has no {key!r}")
+        problem[key] = _typed(f"bundle metadata {key!r}", meta[key], kind)
+    spec, grid = _problem(**problem)
     if not np.array_equal(rec.r, grid.nodes) or not np.array_equal(rec.flux_r, grid.midpoints):
         raise GridMismatch("stored abscissae do not match the grid in the metadata")
     tol = Tolerances.for_solver() if meta.get("generator") == "solver" else Tolerances()
     rep = verify((rec.u, rec.flux_z), spec, grid, tol)
-    payload = {"input": str(args.input), "tolerances": tol}
-    payload.update(_report_payload(rep))
+    payload = {"input": str(args.input), "tolerances": tol, **_report_payload(rep)}
     if args.output is None:
         main_path, _, _ = io.solution_paths(args.input)
         out = main_path.parent / f"{main_path.stem}.verify.json"
@@ -454,6 +433,8 @@ def _check_config(sub, cfg: dict, path) -> None:
         if action.dest not in cfg:
             continue
         value = cfg[action.dest]
+        if action.choices is not None and value not in action.choices:
+            raise _CliError(f"{path}: config {action.dest!r} must be one of {list(action.choices)}, got {value!r}")
         if isinstance(value, str) or (value is None and action.default is None):
             continue
         if isinstance(value, bool) or not isinstance(value, _CONFIG_KINDS.get(action.type, ())):

@@ -48,6 +48,8 @@ class DomainSpec:
             raise ValueError("interval domains are one dimensional")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -131,4 +133,6 @@ def smallness_check(dim: int, lam: float, f_norm: float) -> bool:
         raise ValueError(f"source strength must be nonnegative, got {lam!r}")
     if not f_norm >= 0.0:
         raise ValueError(f"norm must be nonnegative, got {f_norm!r}")
+    if not math.isfinite(lam) or not math.isfinite(f_norm):
+        raise ValueError(f"source strength and norm must be finite, got {lam!r} and {f_norm!r}")
     return lam * sobolev_constant_limit(dim) * f_norm < 1.0

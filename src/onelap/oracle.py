@@ -12,14 +12,13 @@ ground truth the solver and verifier are measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .scalar import _as_array, _ret
 
 __all__ = [
-    "ExplicitSolution",
+    "plateau_height",
     "profile",
     "flux",
     "trivial_flux",
@@ -34,6 +33,8 @@ def _check_regime(dim, lam) -> tuple[int, float]:
         raise ValueError(
             f"nontrivial regime requires source strength > dim, got {lam!r} <= {dim}"
         )
+    if not math.isfinite(lf):
+        raise ValueError(f"source strength must be finite, got {lam!r}")
     return int(dim), lf
 
 
@@ -56,13 +57,11 @@ def profile(dim, lam, r):
     exactly 0 at r = 1."""
     n, lf = _check_regime(dim, lam)
     a, scalar = _check_radius(r)
-    rstar = n / lf
-    core = 1.0 - (lf / n) ** (n - 1) * math.exp(n - lf)
-    inside = a <= rstar
+    inside = a <= n / lf
     # keep the negative power off r = 0; the masked branch never uses it
     safe = np.where(inside, 1.0, a)
     outer = 1.0 - safe ** (-(n - 1)) * np.exp(lf * (safe - 1.0))
-    return _ret(np.where(inside, core, outer), scalar)
+    return _ret(np.where(inside, plateau_height(n, lf), outer), scalar)
 
 
 def flux(dim, lam, r):
@@ -86,27 +85,3 @@ def trivial_flux(dim, lam, r):
         )
     a, scalar = _check_radius(r)
     return _ret(-(lf * a) / dim, scalar)
-
-
-@dataclass(frozen=True)
-class ExplicitSolution:
-    """The nontrivial closed form for one (dim, lam) pair, lam > dim."""
-
-    dim: int
-    lam: float
-    plateau_radius: float = field(init=False)
-    plateau_value: float = field(init=False)
-
-    def __post_init__(self):
-        n, lf = _check_regime(self.dim, self.lam)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "lam", lf)
-        object.__setattr__(self, "plateau_radius", n / lf)
-        object.__setattr__(self, "plateau_value", plateau_height(n, lf))
-
-    def u(self, r):
-        return profile(self.dim, self.lam, r)
-
-    def z(self, r):
-        return flux(self.dim, self.lam, r)
-

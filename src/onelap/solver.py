@@ -92,9 +92,13 @@ class ProblemSpec:
     def __post_init__(self):
         if not float(self.gamma) > 0.0:
             raise ValueError(f"singular exponent must be positive, got {self.gamma!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"singular exponent must be finite, got {self.gamma!r}")
         if isinstance(self.source, (int, float)):
             if not float(self.source) >= 0.0:
                 raise ValueError("source must be nonnegative")
+            if not math.isfinite(self.source):
+                raise ValueError(f"source must be finite, got {self.source!r}")
 
     @property
     def constant_source(self) -> float | None:
@@ -126,6 +130,8 @@ class RegularizationState:
             raise ValueError(f"truncation level must be a positive integer, got {self.n!r}")
         if not self.eps > 0.0:
             raise ValueError(f"smoothing eps must be positive, got {self.eps!r}")
+        if not (math.isfinite(self.p) and math.isfinite(self.eps)):
+            raise ValueError(f"p and eps must be finite, got p={self.p!r}, eps={self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,8 @@ class RadialGrid:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius!r}")
         m = self.mesh_size
         if int(m) != m or m < 8:
             raise ValueError(f"mesh size must be an integer >= 8, got {m!r}")
@@ -211,6 +219,12 @@ class ContinuationSchedule:
                 raise ValueError("schedule must not decrease n")
             if b.eps > a.eps:
                 raise ValueError("schedule must not increase eps")
+        if not (math.isfinite(self.max_iter) and self.max_iter >= 1 and int(self.max_iter) == self.max_iter):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
+        if not (math.isfinite(self.step_tol) and self.step_tol >= 0.0):
+            raise ValueError(f"step_tol must be nonnegative and finite, got {self.step_tol!r}")
 
 
 def regularized_flux(s, p: float, eps: float):

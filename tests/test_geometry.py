@@ -56,6 +56,8 @@ def test_domain_validation():
         DomainSpec("interval", 2, 1.0)
     with pytest.raises(ValueError):
         DomainSpec("ball", 2, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        DomainSpec("ball", 2, math.inf)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -158,3 +160,7 @@ def test_smallness_condition():
     assert smallness_check(7, 1e-9, 1.0) is True
     with pytest.raises(ValueError):
         smallness_check(2, -1.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        smallness_check(2, 0.0, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        smallness_check(2, math.inf, 1.0)

@@ -393,7 +393,7 @@ _MISSING = object()
 
 
 @pytest.mark.parametrize("key, value", [("kind", _MISSING), ("dim", _MISSING), ("mesh", _MISSING),
-                                        ("lam", _MISSING), ("lam", None), ("dim", [1])])
+                                        ("lam", _MISSING), ("lam", None), ("dim", [1]), ("dim", math.inf)])
 def test_verify_malformed_bundle_exits_one(tmp_path, capsys, key, value):
     assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "100",
                      "--output", str(tmp_path / "orc")]) == 0
@@ -456,7 +456,9 @@ def test_config_starves_newton_exit_two(tmp_path, capsys):
     assert meta["schedule"]["preset"] == "custom"
 
 
-@pytest.mark.parametrize("config", [{"rungs": 5}, {"max_iter": [1]}, {"output": 5}])
+@pytest.mark.parametrize("config", [{"rungs": 5}, {"max_iter": [1]}, {"output": 5}, {"max_iter": 0},
+                                    {"newton_tol": -1.0, "step_tol": -1.0}, {"max_iter": math.inf},
+                                    {"step_tol": math.nan}])
 def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -471,15 +473,82 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     (["oracle", "--lambda", "3"], {"mesh": 64, "max_iter": 5}, "max_iter"),
     (["verify", "--input", "none"], {"rungs": [[1.1, 10, 0.01]]}, "rungs"),
     (["solve", "--lambda", "4"], {"max_iter": 5, "command": "oracle"}, "command"),
+    (["cheeger"], {"format": "xml"}, "config 'format' must be one of ['csv', 'json'], got 'xml'"),
+    (["sweep", "--lambdas", "4"], {"mode": "solverr"}, "config 'mode' must be one of ['oracle', 'solver'], got 'solverr'"),
 ])
 def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     # a key that names no flag of the subcommand, nor a schedule knob of
-    # solve or sweep, is a typo and must not be dropped in silence
+    # solve or sweep, is a typo and must not be dropped in silence; so is a
+    # value outside its flag's choices, which argparse checks only on flags
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(argv + ["--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {cfg}: unknown config key {key!r}\n")
+    want = key if key.startswith("config ") else f"unknown config key {key!r}"
+    assert (out, err) == ("", f"error: {cfg}: {want}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["typo.json"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--lambdas", "4,inf"], None),
+    (["sweep", "--lambdas", "2:inf:1"], None),
+    (["sweep", "--mode", "solver", "--lambdas", "4,inf", "--mesh", "64"], None),
+    (["cheeger", "--radius", "inf"], None),
+    (["cheeger"], {"radius": math.inf}),
+    (["smallness", "--dim", "2", "--lambda", "0", "--fnorm", "inf"], None),
+    (["smallness", "--dim", "2", "--lambda", "inf", "--fnorm", "1"], None),
+    (["solve", "--gamma", "inf", "--lambda", "4", "--mesh", "64"], None),
+    (["solve", "--radius", "inf", "--lambda", "4", "--mesh", "64"], None),
+    (["solve", "--lambda", "inf", "--mesh", "64"], None),
+    (["solve", "--lambda", "4", "--mesh", "64"], {"gamma": math.inf}),
+    (["solve", "--lambda", "4", "--mesh", "64"], {"rungs": [[math.inf, 100, 1e-3]]}),
+    (["oracle", "--lambda", "inf", "--mesh", "64"], None),
+])
+def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
+    # JSON's Infinity reaches the code like the flag text "inf": both exit 1
+    # with one error line, before any arithmetic could warn or write a file
+    if config is not None:
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["inf.json"])
+
+
+_VERDICTS = "verdicts: field_bound={}, pairing={}, equation={}, trace=pass, energy=pass, log_substitution=pass"
+_BUNDLE_KEYS = ["dim", "gamma", "generator", "kind", "lam", "mesh", "radius", "schedule"]
+_REPORT_KEYS = ["defects", "log_substitution", "passed", "plateau_radius_estimate", "verdicts"]
+_SOLVER_KEYS = ["converged", "residual_norm", "rungs", "stop_reason"]
+
+
+@pytest.mark.parametrize("argv, config, rc, keys, lines", [
+    (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "200"], None, 0, _SOLVER_KEYS,
+     ["sup norm 0.9497630984266674, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass")]),
+    (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "120"],
+     {"rungs": [[1.5, 100, 0.001]], "max_iter": 2}, 2, _SOLVER_KEYS + ["failed_rung"],
+     ["sup norm 1.0007319506394146, plateau radius 0", _VERDICTS.format("FAIL", "FAIL", "FAIL")]),
+    (["oracle", "--dim", "2", "--lambda", "4", "--mesh", "500"], None, 0, ["plateau_radius_exact"],
+     [_VERDICTS.format("pass", "pass", "pass")]),
+])
+def test_bundle_keys_stdout_and_verify_verdicts(tmp_path, capsys, argv, config, rc, keys, lines):
+    # solve (converged or stalled) and oracle write through one writer: the
+    # problem record, the generator's keys and the report, nothing else;
+    # verify rebuilds the problem from that record and agrees on every verdict
+    base = tmp_path / "b"
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "c.json")]
+    assert cli.main(argv + ["--output", str(base)]) == rc
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"wrote {tmp_path / 'b.csv'} (+ _flux.csv, .meta.json)"] + lines
+    meta = io.read_json(tmp_path / "b.meta.json")
+    assert sorted(meta) == sorted(_BUNDLE_KEYS + _REPORT_KEYS + keys)
+    assert cli.main(["verify", "--input", str(base)]) == (0 if meta["passed"] else 1)
+    assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / 'b.verify.json'}", lines[-1]]
+    report = io.read_json(tmp_path / "b.verify.json")
+    assert report["verdicts"] == meta["verdicts"] and report["passed"] == meta["passed"]
 
 
 def test_config_defaults_yield_to_explicit_flags(tmp_path, capsys):

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from onelap import cli, io
 from onelap.oracle import (
-    ExplicitSolution,
     flux,
     plateau_height,
     profile,
@@ -29,6 +28,8 @@ def test_profile_regime_and_radius_validation():
         profile(1, 4.0, -0.1)
     with pytest.raises(ValueError):
         profile(1, 4.0, 1.2)
+    with pytest.raises(ValueError, match="finite"):
+        profile(1, math.inf, 0.5)
 
 
 def test_flux_reference_points():
@@ -131,13 +132,17 @@ def test_energy_identity_by_quadrature(dim, lam):
 
 
 def test_explicit_solution_record():
-    sol = ExplicitSolution(2, 4.0)
-    assert sol.plateau_radius == 0.5
-    assert sol.plateau_value == pytest.approx(plateau_height(2, 4.0), rel=1e-15)
-    assert sol.u(1.0) == 0.0
-    assert sol.z(0.75) == -1.0
-    with pytest.raises(ValueError):
-        ExplicitSolution(3, 2.0)
+    # the (2, 4) closed form: its core ends at r = N/lam = 0.5, where the
+    # flux leaves the linear branch
+    core = plateau_height(2, 4.0)
+    assert list(profile(2, 4.0, np.array([0.0, 0.25, 0.5]))) == [core] * 3
+    assert profile(2, 4.0, 0.51) < core
+    assert flux(2, 4.0, 0.49) == -(4.0 * 0.49) / 2 and flux(2, 4.0, 0.51) == -1.0
+    assert profile(2, 4.0, 1.0) == 0.0
+    assert flux(2, 4.0, 0.75) == -1.0
+    for f in (plateau_height, lambda n, lam: profile(n, lam, 0.5), lambda n, lam: flux(n, lam, 0.5)):
+        with pytest.raises(ValueError):
+            f(3, 2.0)
 
 
 def _oracle_sweep(tmp_path, lambdas, samples):

@@ -39,6 +39,10 @@ def test_problem_spec_validation():
         ProblemSpec(INTERVAL, gamma=1.0, source=-2.0)
     with pytest.raises(ValueError):
         ProblemSpec(INTERVAL, gamma=0.0, source=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec(INTERVAL, gamma=np.inf, source=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ProblemSpec(INTERVAL, gamma=1.0, source=np.inf)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=3.0)
     assert spec.constant_source == 3.0
 
@@ -60,8 +64,14 @@ def test_regularization_state_validation():
         _state(n=0)
     with pytest.raises(ValueError):
         _state(eps=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        _state(p=np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        _state(eps=np.inf)
     with pytest.raises(ValueError):
         RadialGrid.uniform(INTERVAL, 4)
+    with pytest.raises(ValueError, match="finite"):
+        RadialGrid(dim=1, radius=np.inf, mesh_size=64)
 
 
 def test_grid_weights_telescope():
@@ -88,6 +98,11 @@ def test_schedule_validation():
         ContinuationSchedule((good, _state(p=1.2, n=50)))  # n drops
     with pytest.raises(ValueError):
         ContinuationSchedule((good, _state(p=1.2, eps=1e-3)))  # eps grows
+    for knobs in ({"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": np.inf}, {"newton_tol": 0.0},
+                  {"newton_tol": -1.0}, {"newton_tol": np.nan}, {"step_tol": -1.0}, {"step_tol": np.inf}):
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            ContinuationSchedule((good,), **knobs)
+    assert ContinuationSchedule((good,), step_tol=0.0, max_iter=1).step_tol == 0.0
 
 
 def test_schedule_presets():
