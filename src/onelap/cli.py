@@ -151,11 +151,14 @@ def _parse_lambdas(text: str) -> list:
 
 def _typed(what: str, value, kind):
     """`value` as `kind`; a mistyped value from a file is bad input, not a
-    crash."""
+    crash, and so is a float that `int` would truncate (2.5 is not an int)."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise _CliError(f"{what} is not a {kind.__name__}: {value!r}") from None
+        out = None
+    if out is None or (kind is int and isinstance(value, float) and out != value):
+        raise _CliError(f"{what} is not a {kind.__name__}: {value!r}")
+    return out
 
 
 # schedule knobs that `solve` and `sweep` take from a config file only
@@ -171,7 +174,7 @@ def _schedule_for(args) -> ContinuationSchedule:
     }
     if rungs:
         try:
-            triples = [(float(p), int(n), float(e)) for p, n, e in rungs]
+            triples = [(float(p), _typed("config 'rungs' level n", n, int), float(e)) for p, n, e in rungs]
         except (TypeError, ValueError):
             raise _CliError(f"config 'rungs' must be a list of [p, n, eps] triples, got {rungs!r}") from None
         states = tuple(RegularizationState(p=p, n=n, eps=e) for p, n, e in triples)
@@ -253,6 +256,7 @@ def cmd_solve(args) -> int:
                 "n": r.state.n,
                 "eps": r.state.eps,
                 "iterations": r.iterations,
+                "residual_evals": r.residual_evals,
                 "residual_norm": r.residual_norm,
                 "stop_reason": r.stop_reason,
                 "sup_norm": float(np.max(np.abs(r.u))),
@@ -316,6 +320,13 @@ def cmd_sweep(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     if not lams:
         raise _CliError("empty lambda list")
+    # curves and reports are keyed by f"{lam:g}", six significant digits
+    named = {}
+    for lam in lams:
+        key = f"{lam:g}"
+        if key in named:
+            raise _CliError(f"source strengths {named[key]!r} and {lam!r} share the column name u_lam{key}")
+        named[key] = lam
     if args.samples < 2:
         raise _CliError(f"need at least 2 samples, got --samples {args.samples}")
     domain = DomainSpec(kind="ball", dim=args.dim, radius=1.0)

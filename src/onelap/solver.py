@@ -196,6 +196,7 @@ class DiscreteSolution:
     converged: bool
     iterations: int
     residual_norm: float
+    residual_evals: int  # kernel evaluations of this strength in the rung
     stop_reason: str = "residual"
     history: tuple = ()  # after a continuation: each rung's solution, this one's last
 
@@ -593,7 +594,14 @@ def newton_solve(
     Line search is Armijo backtracking with strict decrease on the
     allowance-weighted residual 2-norm; the weighting keeps plateau
     quantization noise at O(1) per row so progress on the few genuinely
-    unconverged rows stays visible.  A dead end raises NonConvergence.
+    unconverged rows stays visible.  Each search halves alpha from its
+    start for at most 50 trials, and a dead end raises NonConvergence.  The
+    start is not always 1: a strength remembers the alpha it last accepted
+    in this call, and its next search starts at min(1, 2 alpha), so a
+    strength crawling at alpha ~ 2^-15 does not pay 15 rejected trials per
+    step (damping-factor prediction, Deuflhard 2004, sec. 3.1).  The memory
+    starts at 1 on every call, that is on every rung.  `residual_evals`
+    counts the strength's first evaluation plus every trial it took part in.
 
     Given K specs and u0 of shape (K, M+1), the K strengths iterate
     together: each iteration assembles and solves the strengths still
@@ -608,6 +616,10 @@ def newton_solve(
     m = grid.mesh_size
     results = [None] * len(specs)
     counts = [0] * len(specs)
+    # per strength: the alpha its last line search accepted, and its kernel
+    # evaluations so far
+    last_alpha = np.ones(len(specs))
+    evals = np.ones(len(specs), dtype=int)
 
     def leave(gone, its, reason):
         """End the strengths in the rows `gone` after `its` iterations.  A
@@ -628,6 +640,7 @@ def newton_solve(
                 converged=why != "stalled",
                 iterations=its,
                 residual_norm=float(rmax[j]),
+                residual_evals=int(evals[rows[j]]),
                 stop_reason=str(why),
             )
             if why == "stalled":
@@ -670,26 +683,28 @@ def newton_solve(
             rows, u, rmax, allow, step, pieces = rows[go], u[go], rmax[go], allow[go], step[go], pieces.take(go)
             residual = pieces.residual
         rnorm = _row_norms(residual / allow)
-        # rows still trying (held at pos of u) have all failed the same
-        # number of halvings, so they share alpha
-        alpha = 1.0
+        # rows still trying are held at pos of u, each with its own alpha
+        alpha = np.minimum(1.0, 2.0 * last_alpha[rows])
         accepted = np.zeros(rows.size, dtype=bool)
         pos = np.arange(rows.size)
         source = pieces.source
         for _ in range(50):
             trial = u[pos]
-            trial[:, :m] += alpha * step
+            trial[:, :m] += alpha[:, None] * step
             tried = _Pieces(rung, source)
             tres = assemble_residual(tuple(specs[i] for i in rows[pos]), state, grid, trial, pieces=tried)
+            evals[rows[pos]] += 1
             tnorm = _row_norms(tres / allow)
             ok = (tnorm < rnorm) & (tnorm <= (1.0 - 1e-4 * alpha) * rnorm)
             if any(ok):
                 u[pos[ok]] = trial[ok]
                 accepted[pos[ok]] = True
+                last_alpha[rows[pos[ok]]] = alpha[ok]
                 pieces.accept(tried, pos, ok)
                 if all(ok):
                     break
-                pos, step, allow, rnorm, source = pos[~ok], step[~ok], allow[~ok], rnorm[~ok], source[~ok]
+                pos, step, allow, rnorm, source, alpha = (
+                    pos[~ok], step[~ok], allow[~ok], rnorm[~ok], source[~ok], alpha[~ok])
             alpha *= 0.5
         if not all(accepted):
             # a line-search dead end ends the strength on its last iterate;

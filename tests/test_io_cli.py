@@ -290,17 +290,23 @@ def test_sweep_solver_mode(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["oracle", "solver"])
-@pytest.mark.parametrize("samples", [0, 1, -3])
-def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mode, samples):
-    # a section needs both ends; the check comes before any solve
+@pytest.mark.parametrize("lambdas, samples, message", [
+    *(pytest.param("4", n, f"need at least 2 samples, got --samples {n}", id=str(n)) for n in (0, 1, -3)),
+    # curves are named by six significant digits, so these three would share one
+    pytest.param("4,4.0000000001,4", 3, "source strengths 4.0 and 4.0000000001 share the column name u_lam4",
+                 id="same-name"),
+])
+def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mode, lambdas, samples, message):
+    # a section needs both ends, and each strength a column of its own; the
+    # checks come before any solve
     def no_solve(*args):
-        raise AssertionError("solved before rejecting --samples")
+        raise AssertionError("solved before rejecting the input")
 
     monkeypatch.setattr(cli, "continuation_solve", no_solve)
-    rc = cli.main(["sweep", "--mode", mode, "--dim", "2", "--lambdas", "4", "--samples", str(samples),
+    rc = cli.main(["sweep", "--mode", mode, "--dim", "2", "--lambdas", lambdas, "--samples", str(samples),
                    "--mesh", "100", "--output", str(tmp_path / "sw")])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: need at least 2 samples, got --samples {samples}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.glob("sw*")) == []
 
 
@@ -327,26 +333,26 @@ def test_sweep_solver_batch_matches_single_solves(tmp_path):
 
 
 def test_sweep_names_only_the_stalled_strength(tmp_path, capsys):
-    # dim 1 at lam = 6 stalls at rung 8 on this mesh; lam = 4 converges
-    assert _sweep(tmp_path, "4,6", 500) == 2
+    # dim 1 at lam = 14 stalls at rung 7 on this mesh; lam = 4 converges
+    assert _sweep(tmp_path, "4,14", 500) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["lambda=6 stalled at rung 8"]
+    assert err.splitlines() == ["lambda=14 stalled at rung 7"]
     assert not (tmp_path / "sw.csv").exists()
     assert not (tmp_path / "sw_reports.json").exists()
 
 
 def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, capsys):
-    # dim 1 at lam = 6 stalls at rung 8 on this mesh: the bundle records the
-    # eight rungs it climbed and the stalled ninth
-    rc = cli.main(["solve", "--domain", "ball", "--dim", "1", "--lambda", "6", "--mesh", "500",
+    # dim 1 at lam = 14 stalls at rung 7 on this mesh: the bundle records the
+    # seven rungs it climbed and the stalled eighth
+    rc = cli.main(["solve", "--domain", "ball", "--dim", "1", "--lambda", "14", "--mesh", "500",
                    "--output", str(tmp_path / "stall")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("continuation stalled at rung 8: Newton stalled")
+    assert capsys.readouterr().err.startswith("continuation stalled at rung 7: Newton stalled")
     meta = io.read_json(tmp_path / "stall.meta.json")
-    assert meta["failed_rung"] == 8 and meta["converged"] is False
+    assert meta["failed_rung"] == 7 and meta["converged"] is False
     rungs = meta["rungs"]
-    assert len(rungs) == 9
-    assert [[r["p"], r["n"], r["eps"]] for r in rungs] == meta["schedule"]["rungs"][:9]
+    assert len(rungs) == 8
+    assert [[r["p"], r["n"], r["eps"]] for r in rungs] == meta["schedule"]["rungs"][:8]
     assert all(r["stop_reason"] in ("residual", "float_floor", "stagnation") for r in rungs[:-1])
     last = rungs[-1]
     assert last["stop_reason"] == meta["stop_reason"] == "stalled"
@@ -356,6 +362,10 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     assert last["sup_norm"] == float(np.max(np.abs(rec.u)))
     grid = RadialGrid.uniform(DomainSpec("ball", 1), 500)
     assert last["plateau_radius"] == solver.plateau_extent(grid, rec.u)
+    # each rung's kernel evaluations, as the solver counted them
+    with pytest.raises(solver.NonConvergence) as exc:
+        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), schedule_preset("default"), grid)
+    assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in exc.value.last.history]
 
 
 def _singular_at(lam, mesh, monkeypatch):
@@ -393,7 +403,8 @@ _MISSING = object()
 
 
 @pytest.mark.parametrize("key, value", [("kind", _MISSING), ("dim", _MISSING), ("mesh", _MISSING),
-                                        ("lam", _MISSING), ("lam", None), ("dim", [1]), ("dim", math.inf)])
+                                        ("lam", _MISSING), ("lam", None), ("dim", [1]), ("dim", math.inf),
+                                        ("dim", 1.5), ("mesh", 100.5)])
 def test_verify_malformed_bundle_exits_one(tmp_path, capsys, key, value):
     assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "100",
                      "--output", str(tmp_path / "orc")]) == 0
@@ -458,7 +469,7 @@ def test_config_starves_newton_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [{"rungs": 5}, {"max_iter": [1]}, {"output": 5}, {"max_iter": 0},
                                     {"newton_tol": -1.0, "step_tol": -1.0}, {"max_iter": math.inf},
-                                    {"step_tol": math.nan}])
+                                    {"step_tol": math.nan}, {"max_iter": 2.5}, {"rungs": [[1.5, 100.9, 0.001]]}])
 def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -525,7 +536,7 @@ _SOLVER_KEYS = ["converged", "residual_norm", "rungs", "stop_reason"]
 
 @pytest.mark.parametrize("argv, config, rc, keys, lines", [
     (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "200"], None, 0, _SOLVER_KEYS,
-     ["sup norm 0.9497630984266674, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass")]),
+     ["sup norm 0.94976309842663476, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass")]),
     (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "120"],
      {"rungs": [[1.5, 100, 0.001]], "max_iter": 2}, 2, _SOLVER_KEYS + ["failed_rung"],
      ["sup norm 1.0007319506394146, plateau radius 0", _VERDICTS.format("FAIL", "FAIL", "FAIL")]),

@@ -23,6 +23,7 @@ from onelap.solver import (
     reconstruct_flux,
     schedule_preset,
 )
+from onelap.verify import Tolerances, verify
 
 INTERVAL = DomainSpec("interval", 1, 1.0)
 DISK = DomainSpec("ball", 2, 1.0)
@@ -283,29 +284,31 @@ def test_trivial_regime_collapses_to_dust():
 
 
 def _rung_trace(sol):
-    return [(h.state, h.iterations, h.stop_reason, h.residual_norm, float(np.max(np.abs(h.u))))
+    return [(h.state, h.iterations, h.stop_reason, h.residual_norm, h.residual_evals, float(np.max(np.abs(h.u))))
             for h in sol.history]
 
 
 def test_batched_continuation_matches_single_solves():
     # one strength on the trivial branch, one converging, one that stalls at
-    # rung 8 after max_iter iterations: each must come out of the batch
+    # rung 7 after max_iter iterations: each must come out of the batch
     # exactly as it comes out of its own solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 500)
     sched = schedule_preset("default")
-    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (0.5, 4.0, 6.0)]
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (0.5, 4.0, 14.0)]
     batch = continuation_solve(specs, sched, grid)
     assert len(batch) == 3
+    stalled = []
     for spec, got in zip(specs, batch):
         try:
             want = continuation_solve(spec, sched, grid)
         except NonConvergence as exc:
-            assert spec.source == 6.0
-            assert isinstance(got, NonConvergence) and got.rung == exc.rung == 8
+            stalled.append(spec.source)
+            assert isinstance(got, NonConvergence) and got.rung == exc.rung == 7
             got, want = got.last, exc.last
             # the rungs climbed, then the stalled one
-            assert len(got.history) == 9 and got.history[-1].stop_reason == "stalled"
+            assert len(got.history) == 8 and got.history[-1].stop_reason == "stalled"
+            assert got.iterations == sched.max_iter
         else:
             assert len(got.history) == len(sched.states)
         assert _rung_trace(got) == _rung_trace(want)
@@ -315,6 +318,70 @@ def test_batched_continuation_matches_single_solves():
         assert np.array_equal(got.z, want.z)
         assert (got.iterations, got.stop_reason, got.residual_norm) == (
             want.iterations, want.stop_reason, want.residual_norm)
+    # the stall branch above really ran
+    assert stalled == [14.0]
+
+
+@pytest.mark.parametrize("lam, mesh", [(4.0, 200), (14.0, 500)])
+def test_residual_evals_count_every_kernel_evaluation(monkeypatch, lam, mesh):
+    # a converged and a stalled continuation: the rungs' residual_evals add
+    # up to the kernel evaluations the continuation made
+    calls = []
+    evaluate = solver._Pieces.evaluate
+
+    def counted(self, u):
+        calls.append(len(u))
+        return evaluate(self, u)
+
+    monkeypatch.setattr(solver._Pieces, "evaluate", counted)
+    dom = DomainSpec("ball", 1, 1.0)
+    try:
+        sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=lam), schedule_preset("default"),
+                                 RadialGrid.uniform(dom, mesh))
+    except NonConvergence as exc:
+        sol = exc.last
+    assert set(calls) == {1}
+    assert sum(h.residual_evals for h in sol.history) == len(calls)
+    # the first evaluation of each rung and one trial per accepted step at least
+    assert all(h.residual_evals >= h.iterations + 1 for h in sol.history)
+
+
+def test_line_search_starts_from_the_last_accepted_step():
+    # dim 1 at lam = 8 crawls at alpha ~ 2^-15 on its deep rungs; restarting
+    # every search at alpha = 1 cost about six kernel evaluations per step
+    dom = DomainSpec("ball", 1, 1.0)
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=8.0), schedule_preset("default"),
+                             RadialGrid.uniform(dom, 1000))
+    iterations = sum(h.iterations for h in sol.history)
+    assert sum(h.residual_evals for h in sol.history) <= 2 * iterations
+
+
+def _envelope_strengths(dim):
+    """The strengths of the declared envelope grid in dimension dim: both
+    sides of the Cheeger threshold N."""
+    return [0.5 * dim, 0.9 * dim, 1.1 * dim] + [dim + k for k in range(1, 11)]
+
+
+# the points of the M = 1000 slice that must converge and pass verify.  Dim 1
+# at lam = 10 passes as well; the others stall (dim 1: 9, 11; dim 2: 11, 12;
+# dim 3: 12, 13) or fail the equation verdict (dim 1: 3)
+_ENVELOPE_M1000 = {
+    1: (0.5, 0.9, 1.1, 2, 4, 5, 6, 7, 8),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m1000_keeps_its_certified_points(dim):
+    dom = DomainSpec("ball", dim, 1.0)
+    grid = RadialGrid.uniform(dom, 1000)
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in _envelope_strengths(dim)]
+    certified = set()
+    for spec, sol in zip(specs, continuation_solve(specs, schedule_preset("default"), grid)):
+        if not isinstance(sol, Exception) and verify(sol, spec, grid, Tolerances.for_solver()).passed:
+            certified.add(round(spec.source, 9))
+    assert certified >= set(_ENVELOPE_M1000[dim])
 
 
 def _tridiagonal(rng, m, pivoting):
