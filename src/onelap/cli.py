@@ -4,7 +4,7 @@ Exit status contract
     0   success; for solve/oracle/verify, additionally all verdicts true
     1   invalid flags, domain or bundle, or a verdict failed
     2   continuation did not converge: Newton stalled (solve still writes
-        the partial result) or met a singular Jacobian
+        the last converged rung) or met a singular Jacobian
 
 All numeric output goes through the 17-digit formatter in `io`, so repeated
 runs with identical flags produce byte-identical files.  Relative output
@@ -241,6 +241,9 @@ def cmd_solve(args) -> int:
     except SingularJacobian as exc:
         print(f"continuation failed at rung {exc.rung}: singular Jacobian ({exc})", file=sys.stderr)
         return 2
+    # a stall writes its last converged rung; one at rung 0 has none, and
+    # writes the stalled iterate
+    end = sol.history[failed_rung - 1] if failed_rung else sol
     meta = {
         "generator": "solver",
         "schedule": {
@@ -249,7 +252,7 @@ def cmd_solve(args) -> int:
         },
         "converged": sol.converged,
         "stop_reason": sol.stop_reason,
-        "residual_norm": sol.residual_norm,
+        "residual_norm": end.residual_norm,
         "rungs": [
             {
                 "p": r.state.p,
@@ -267,9 +270,9 @@ def cmd_solve(args) -> int:
     }
     if failed_rung is not None:
         meta["failed_rung"] = failed_rung
-    rep = _write_bundle(base, problem, spec, grid, sol.u, sol.z, sol.residual, Tolerances.for_solver(), meta)
+    rep = _write_bundle(base, problem, spec, grid, end.u, end.z, end.residual, Tolerances.for_solver(), meta)
     print(
-        f"sup norm {io.format_float(float(np.max(np.abs(sol.u))))}, "
+        f"sup norm {io.format_float(float(np.max(np.abs(end.u))))}, "
         f"plateau radius {io.format_float(rep.plateau_radius_estimate)}"
     )
     _print_verdicts(rep)

@@ -327,24 +327,30 @@ class _Rung:
 
 
 class _Pieces:
-    """One evaluation of the rung equations for a batch of strengths, one
-    row each: the residual and what the Jacobian at the same state is built
-    from (slopes D, gradient scale q, q^p and absorption h).
+    """The row set of a batch of strengths on one rung: for each row, the
+    index of its strength in the batch (`rows`), its truncated source row,
+    its state u and one evaluation of the rung equations at u, that is the
+    residual and what the Jacobian there is built from (slopes D, gradient
+    scale q, q^p and absorption h).
 
-    `source` holds the truncated source rows of these strengths.  The
-    Newton iteration keeps the pieces of its current iterate and of its
-    line-search trials, so that no accepted residual is computed twice."""
+    `newton_solve` holds the strengths still iterating in one row set and
+    its line-search trials in others: `accept` moves accepted trial rows in,
+    states and pieces together, so no accepted residual is computed twice,
+    and `take` is the only way rows leave.  What `evaluate` fills is named
+    once, in `arrays`, which both of them move."""
 
-    __slots__ = ("rung", "source", "residual", "D", "q", "qp", "h")
-    arrays = ("residual", "D", "q", "qp", "h")
+    arrays = ("u", "residual", "D", "q", "qp", "h")
+    __slots__ = ("rung", "rows", "source") + arrays
 
-    def __init__(self, rung: _Rung, source: np.ndarray):
+    def __init__(self, rung: _Rung, rows: np.ndarray, source: np.ndarray):
         self.rung = rung
+        self.rows = rows
         self.source = source
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """Fill the pieces at the states u, shape (rows, M+1); return the
-        residual -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)."""
+        """Fill the pieces at the states u, shape (rows, M+1), which the row
+        set keeps; return the residual
+        -(F_{i+1/2} - F_{i-1/2}) / (W_i dr) + h_n(u_i) q_i^p - g_n(r_i)."""
         r = self.rung
         D = np.diff(u)
         D /= r.dr
@@ -357,11 +363,12 @@ class _Pieces:
         residual = h * qp
         residual -= div
         residual -= self.source
-        self.residual, self.D, self.q, self.qp, self.h = residual, D, q, qp, h
+        self.u, self.residual, self.D, self.q, self.qp, self.h = u, residual, D, q, qp, h
         return residual
 
     def accept(self, trial: "_Pieces", at: np.ndarray, ok: np.ndarray) -> None:
-        """Take the pieces of the trial rows `ok` as those of rows `at`."""
+        """Take the states and pieces of the trial rows `ok` as those of
+        rows `at`."""
         if ok.all() and at.size == len(self.residual):
             for name in self.arrays:
                 setattr(self, name, getattr(trial, name))
@@ -370,14 +377,14 @@ class _Pieces:
             getattr(self, name)[at[ok]] = getattr(trial, name)[ok]
 
     def take(self, keep: np.ndarray) -> "_Pieces":
-        """The pieces of the rows `keep` only."""
-        out = _Pieces(self.rung, self.source[keep])
+        """The row set of the rows `keep` only."""
+        out = _Pieces(self.rung, self.rows[keep], self.source[keep])
         for name in self.arrays:
             setattr(out, name, getattr(self, name)[keep])
         return out
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """The exact tridiagonal Jacobian at the states u the pieces were
+    def jacobian(self) -> np.ndarray:
+        """The exact tridiagonal Jacobian at the states the pieces were
         evaluated at, in banded storage (rows: super, diagonal, sub) over
         u_0..u_{M-1}; the K blocks are stacked into one (3, K*M) matrix
         whose entries coupling adjacent blocks are 0."""
@@ -389,7 +396,7 @@ class _Pieces:
         # banded rows: ab[0, ..., j] couples row j-1 to u_j, ab[2, ..., j] row j+1
         c = regularized_flux_prime(D, p, r.eps)  # one per midpoint
         c *= r.mw
-        dhq = absorption_truncated_prime(u[:, :r.m], r.n, r.gamma)
+        dhq = absorption_truncated_prime(self.u[:, :r.m], r.n, r.gamma)
         dhq *= qp
         hq = q ** (p - 2.0)
         hq *= self.h * p
@@ -428,13 +435,16 @@ class _Pieces:
         return ab.reshape(3, -1)
 
 
-def _entry(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray):
-    """Validated pieces and states for a public call: one ProblemSpec with u
-    of shape (M+1,), or K of them with u of shape (K, M+1)."""
+def _entry(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> _Pieces:
+    """The row set of a public call, evaluated at its validated states: one
+    ProblemSpec with u of shape (M+1,), or K of them with u of shape
+    (K, M+1).  It holds a copy of u, which `newton_solve` iterates in place."""
     specs = _strengths(spec)
     rung = _Rung(specs, state, grid)
     u = _check_iterate(grid, u, None if isinstance(spec, ProblemSpec) else len(specs))
-    return _Pieces(rung, rung.source), u.reshape(len(specs), -1)
+    pieces = _Pieces(rung, np.arange(len(specs)), rung.source)
+    pieces.evaluate(u.reshape(len(specs), -1).copy())
+    return pieces
 
 
 def assemble_residual(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, pieces=None) -> np.ndarray:
@@ -449,8 +459,7 @@ def assemble_residual(spec, state: RegularizationState, grid: RadialGrid, u: np.
     rung for these strengths, filled here at u of shape (K, M+1)."""
     if pieces is not None:
         return pieces.evaluate(u)
-    pieces, rows = _entry(spec, state, grid, u)
-    return pieces.evaluate(rows).reshape(np.shape(u)[:-1] + (-1,))
+    return _entry(spec, state, grid, u).residual.reshape(np.shape(u)[:-1] + (-1,))
 
 
 def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.ndarray, pieces=None):
@@ -463,14 +472,12 @@ def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.nd
     with the entries coupling adjacent blocks 0, so one banded solve serves
     every strength.
 
-    `pieces` is internal to `newton_solve`: the `_Pieces` already evaluated
+    `pieces` is internal to `newton_solve`: the row set already evaluated
     at u of shape (K, M+1), from which the Jacobian is built without
     computing the residual again."""
-    if pieces is not None:
-        return pieces.residual, pieces.jacobian(u)
-    pieces, rows = _entry(spec, state, grid, u)
-    residual = pieces.evaluate(rows).reshape(np.shape(u)[:-1] + (-1,))
-    return residual, pieces.jacobian(rows)
+    if pieces is None:
+        pieces = _entry(spec, state, grid, u)
+    return pieces.residual.reshape(np.shape(u)[:-1] + (-1,)), pieces.jacobian()
 
 
 def reconstruct_flux(state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
@@ -608,8 +615,13 @@ def newton_solve(
     iterating in one call each, while every strength keeps its own stop
     test, damping and backtracking.  A strength that converges waits; one
     that stalls or meets a singular Jacobian drops out alone.  The result is
-    a BatchSolution.  One spec is the K=1 case: its DiscreteSolution is
-    returned and its exception raised.
+    a BatchSolution.  One spec is the K=1 case, on the same path: its
+    DiscreteSolution is returned and its exception raised.
+
+    The strengths still iterating are one row set (`_Pieces`): a row holds
+    its strength's index, state, residual and Jacobian pieces, the line
+    search moves accepted trials into it, and every exit ends its strengths
+    through `leave`, which keeps the other rows with one `_Pieces.take`.
     """
     specs = _strengths(spec)
     single = isinstance(spec, ProblemSpec)
@@ -622,100 +634,89 @@ def newton_solve(
     evals = np.ones(len(specs), dtype=int)
 
     def leave(gone, its, reason):
-        """End the strengths in the rows `gone` after `its` iterations.  A
-        row's reason is a stop reason (one for all rows, or one per row) or
-        the exception that ended it; "stalled" ends it in NonConvergence.
-        Returns the mask of the rows that stay."""
+        """End the strengths in the rows `gone` of the row set after `its`
+        iterations.  A row's reason is a stop reason (one for all rows, or
+        one per row) or the exception that ended it; "stalled" ends it in
+        NonConvergence.  Returns the row set of the rows that stay."""
         for j in np.flatnonzero(gone):
+            i = pieces.rows[j]
             why = reason if isinstance(reason, str) else reason[j]
-            counts[rows[j]] = its
+            counts[i] = its
             if isinstance(why, Exception):
-                results[rows[j]] = why
+                results[i] = why
                 continue
+            norm = float(np.abs(pieces.residual[j]).max())
             sol = DiscreteSolution(
-                u=u[j].copy(),
-                z=reconstruct_flux(state, grid, u[j]),
-                residual=residual[j].copy(),
+                u=pieces.u[j].copy(),
+                z=regularized_flux(pieces.D[j], state.p, state.eps),
+                residual=pieces.residual[j].copy(),
                 state=state,
                 converged=why != "stalled",
                 iterations=its,
-                residual_norm=float(rmax[j]),
-                residual_evals=int(evals[rows[j]]),
+                residual_norm=norm,
+                residual_evals=int(evals[i]),
                 stop_reason=str(why),
             )
             if why == "stalled":
                 sol = NonConvergence(
-                    f"Newton stalled at residual {rmax[j]:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
+                    f"Newton stalled at residual {norm:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
                     last=sol,
                 )
-            results[rows[j]] = sol
-        return ~gone
+            results[i] = sol
+        return pieces.take(~gone)
 
-    # rows[j] is the strength held in row j of u, residual, ab and rmax;
-    # rows leave these arrays as their strengths finish.  `pieces` holds the
-    # kernel's evaluation at u: the line search writes the accepted trials'
-    # pieces into it, and the next Jacobian is built from them.
-    rows = np.arange(len(specs))
-    u = _check_iterate(grid, u0, None if single else len(specs)).reshape(len(specs), -1).copy()
-    rung = _Rung(specs, state, grid)
-    pieces = _Pieces(rung, rung.source)
-    pieces.evaluate(u)
-    residual, ab = assemble_system(specs, state, grid, u, pieces=pieces)
-    rmax = np.abs(residual).max(axis=1)
+    pieces = _entry(spec, state, grid, u0)
+    _, ab = assemble_system(specs, state, grid, pieces.u, pieces=pieces)
     its = 0
     for its in range(1, max_iter + 1):
-        allow = np.maximum(tol, _row_allowance(ab, u))
-        done = (np.abs(residual) <= allow).all(axis=1)
+        allow = np.maximum(tol, _row_allowance(ab, pieces.u))
+        done = (np.abs(pieces.residual) <= allow).all(axis=1)
         if any(done):
-            go = leave(done, its - 1, np.where(rmax <= tol, "residual", "float_floor"))
-            if not any(go):
+            rmax = np.abs(pieces.residual).max(axis=1)
+            pieces = leave(done, its - 1, np.where(rmax <= tol, "residual", "float_floor"))
+            if not pieces.rows.size:
                 break
-            ab = ab.reshape(3, go.size, m)[:, go].reshape(3, -1)
-            rows, u, rmax, allow, pieces = rows[go], u[go], rmax[go], allow[go], pieces.take(go)
-            residual = pieces.residual
-        step, failed = _newton_steps(ab, residual)
-        stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(u).max(axis=1))
+            ab = ab.reshape(3, done.size, m)[:, ~done].reshape(3, -1)
+            allow = allow[~done]
+        step, failed = _newton_steps(ab, pieces.residual)
+        stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(pieces.u).max(axis=1))
         stop[list(failed)] = True
         if any(stop):
-            go = leave(stop, its - 1, [failed.get(j, "stagnation") for j in range(rows.size)])
-            if not any(go):
+            pieces = leave(stop, its - 1, [failed.get(j, "stagnation") for j in range(stop.size)])
+            if not pieces.rows.size:
                 break
-            rows, u, rmax, allow, step, pieces = rows[go], u[go], rmax[go], allow[go], step[go], pieces.take(go)
-            residual = pieces.residual
-        rnorm = _row_norms(residual / allow)
-        # rows still trying are held at pos of u, each with its own alpha
-        alpha = np.minimum(1.0, 2.0 * last_alpha[rows])
-        accepted = np.zeros(rows.size, dtype=bool)
-        pos = np.arange(rows.size)
-        source = pieces.source
+            allow, step = allow[~stop], step[~stop]
+        rnorm = _row_norms(pieces.residual / allow)
+        # rows still trying are held at pos of the row set, each with its own alpha
+        alpha = np.minimum(1.0, 2.0 * last_alpha[pieces.rows])
+        accepted = np.zeros(pieces.rows.size, dtype=bool)
+        pos = np.arange(pieces.rows.size)
         for _ in range(50):
-            trial = u[pos]
+            trial = pieces.u[pos]
             trial[:, :m] += alpha[:, None] * step
-            tried = _Pieces(rung, source)
-            tres = assemble_residual(tuple(specs[i] for i in rows[pos]), state, grid, trial, pieces=tried)
-            evals[rows[pos]] += 1
+            tried = _Pieces(pieces.rung, pieces.rows[pos], pieces.source[pos])
+            tres = assemble_residual(tuple(specs[i] for i in tried.rows), state, grid, trial, pieces=tried)
+            evals[tried.rows] += 1
             tnorm = _row_norms(tres / allow)
             ok = (tnorm < rnorm) & (tnorm <= (1.0 - 1e-4 * alpha) * rnorm)
             if any(ok):
-                u[pos[ok]] = trial[ok]
                 accepted[pos[ok]] = True
-                last_alpha[rows[pos[ok]]] = alpha[ok]
+                last_alpha[tried.rows[ok]] = alpha[ok]
                 pieces.accept(tried, pos, ok)
                 if all(ok):
                     break
-                pos, step, allow, rnorm, source, alpha = (
-                    pos[~ok], step[~ok], allow[~ok], rnorm[~ok], source[~ok], alpha[~ok])
+                pos, step, allow, rnorm, alpha = pos[~ok], step[~ok], allow[~ok], rnorm[~ok], alpha[~ok]
             alpha *= 0.5
         if not all(accepted):
             # a line-search dead end ends the strength on its last iterate;
             # its rows failed the done test, so their residual is above tol
-            if not any(leave(~accepted, its, "stalled")):
+            pieces = leave(~accepted, its, "stalled")
+            if not pieces.rows.size:
                 break
-            rows, u, pieces = rows[accepted], u[accepted], pieces.take(accepted)
-        residual, ab = assemble_system(tuple(specs[i] for i in rows), state, grid, u, pieces=pieces)
-        rmax = np.abs(residual).max(axis=1)
+        _, ab = assemble_system(tuple(specs[i] for i in pieces.rows), state, grid, pieces.u, pieces=pieces)
     else:
-        leave(np.ones(rows.size, dtype=bool), its, np.where(rmax <= tol, "residual", "stalled"))
+        rmax = np.abs(pieces.residual).max(axis=1)
+        leave(np.ones(pieces.rows.size, dtype=bool), its, np.where(rmax <= tol, "residual", "stalled"))
     if single:
         return _one(results[0])
     return BatchSolution(results=tuple(results), iterations=max(counts))
@@ -866,24 +867,8 @@ _PRESET_P = {
         1.000003,
         1.000001,
     ),
-    "tight": (
-        1.5,
-        1.3,
-        1.1,
-        1.05,
-        1.01,
-        1.003,
-        1.001,
-        1.0003,
-        1.0001,
-        1.00003,
-        1.00001,
-        1.000003,
-        1.000001,
-        1.0000003,
-        1.0000001,
-    ),
 }
+_PRESET_P["tight"] = _PRESET_P["default"] + (1.0000003, 1.0000001)
 
 
 def schedule_preset(name: str) -> ContinuationSchedule:

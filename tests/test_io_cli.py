@@ -343,11 +343,13 @@ def test_sweep_names_only_the_stalled_strength(tmp_path, capsys):
 
 def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, capsys):
     # dim 1 at lam = 14 stalls at rung 7 on this mesh: the bundle records the
-    # seven rungs it climbed and the stalled eighth
+    # seven rungs it climbed and the stalled eighth, and holds the state of
+    # rung 6, the last that converged
     rc = cli.main(["solve", "--domain", "ball", "--dim", "1", "--lambda", "14", "--mesh", "500",
                    "--output", str(tmp_path / "stall")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("continuation stalled at rung 7: Newton stalled")
+    out, err = capsys.readouterr()
+    assert err.startswith("continuation stalled at rung 7: Newton stalled")
     meta = io.read_json(tmp_path / "stall.meta.json")
     assert meta["failed_rung"] == 7 and meta["converged"] is False
     rungs = meta["rungs"]
@@ -357,15 +359,22 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     last = rungs[-1]
     assert last["stop_reason"] == meta["stop_reason"] == "stalled"
     assert last["iterations"] == schedule_preset("default").max_iter
-    assert last["residual_norm"] == meta["residual_norm"]
+    written = rungs[-2]
+    assert written["residual_norm"] == meta["residual_norm"] < last["residual_norm"]
     rec = io.read_solution(tmp_path / "stall")
-    assert last["sup_norm"] == float(np.max(np.abs(rec.u)))
+    assert written["sup_norm"] == float(np.max(np.abs(rec.u)))
     grid = RadialGrid.uniform(DomainSpec("ball", 1), 500)
-    assert last["plateau_radius"] == solver.plateau_extent(grid, rec.u)
-    # each rung's kernel evaluations, as the solver counted them
+    assert written["plateau_radius"] == solver.plateau_extent(grid, rec.u) == meta["plateau_radius_estimate"]
+    assert f"plateau radius {io.format_float(written['plateau_radius'])}" in out
+    # each rung's kernel evaluations, as the solver counted them, and the
+    # arrays of the last converged rung
     with pytest.raises(solver.NonConvergence) as exc:
         solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), schedule_preset("default"), grid)
-    assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in exc.value.last.history]
+    history = exc.value.last.history
+    assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in history]
+    assert rec.u.tobytes() == history[-2].u.tobytes()
+    assert rec.flux_z.tobytes() == history[-2].z.tobytes()
+    assert rec.residual[:-1].tobytes() == history[-2].residual.tobytes()
 
 
 def _singular_at(lam, mesh, monkeypatch):

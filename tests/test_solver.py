@@ -288,27 +288,42 @@ def _rung_trace(sol):
             for h in sol.history]
 
 
-def test_batched_continuation_matches_single_solves():
-    # one strength on the trivial branch, one converging, one that stalls at
-    # rung 7 after max_iter iterations: each must come out of the batch
-    # exactly as it comes out of its own solve
-    dom = DomainSpec("ball", 1, 1.0)
-    grid = RadialGrid.uniform(dom, 500)
+@pytest.mark.parametrize(
+    "dim, mesh, lams, stall",
+    [
+        # one strength on the trivial branch, one converging, one that stalls
+        # at rung 7 when it runs out of max_iter iterations
+        (1, 500, (0.5, 4.0, 14.0), (14.0, 7, "max_iter")),
+        # lam = 13 stalls at rung 2 after 89 iterations, when its line search
+        # meets a dead end: 50 trials and no decrease
+        (3, 1000, (5.0, 13.0), (13.0, 2, "dead_end")),
+    ],
+    ids=["max-iter", "dead-end"],
+)
+def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
+    # each strength must come out of the batch exactly as it comes out of its
+    # own solve, the stalled one included
+    dom = DomainSpec("ball", dim, 1.0)
+    grid = RadialGrid.uniform(dom, mesh)
     sched = schedule_preset("default")
-    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (0.5, 4.0, 14.0)]
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in lams]
     batch = continuation_solve(specs, sched, grid)
-    assert len(batch) == 3
+    assert len(batch) == len(specs)
     stalled = []
+    lam, rung, how = stall
     for spec, got in zip(specs, batch):
         try:
             want = continuation_solve(spec, sched, grid)
         except NonConvergence as exc:
             stalled.append(spec.source)
-            assert isinstance(got, NonConvergence) and got.rung == exc.rung == 7
+            assert isinstance(got, NonConvergence) and got.rung == exc.rung == rung
             got, want = got.last, exc.last
             # the rungs climbed, then the stalled one
-            assert len(got.history) == 8 and got.history[-1].stop_reason == "stalled"
-            assert got.iterations == sched.max_iter
+            assert len(got.history) == rung + 1 and got.history[-1].stop_reason == "stalled"
+            if how == "max_iter":
+                assert got.iterations == sched.max_iter
+            else:
+                assert got.iterations < sched.max_iter
         else:
             assert len(got.history) == len(sched.states)
         assert _rung_trace(got) == _rung_trace(want)
@@ -319,7 +334,7 @@ def test_batched_continuation_matches_single_solves():
         assert (got.iterations, got.stop_reason, got.residual_norm) == (
             want.iterations, want.stop_reason, want.residual_norm)
     # the stall branch above really ran
-    assert stalled == [14.0]
+    assert stalled == [lam]
 
 
 @pytest.mark.parametrize("lam, mesh", [(4.0, 200), (14.0, 500)])
@@ -344,6 +359,32 @@ def test_residual_evals_count_every_kernel_evaluation(monkeypatch, lam, mesh):
     assert sum(h.residual_evals for h in sol.history) == len(calls)
     # the first evaluation of each rung and one trial per accepted step at least
     assert all(h.residual_evals >= h.iterations + 1 for h in sol.history)
+
+
+def test_newton_calls_the_assembly_through_the_module(monkeypatch):
+    # the layer counters of perfbench wrap solver.assemble_residual and
+    # solver.assemble_system: every line-search trial must reach the first,
+    # and the first Jacobian of a rung and the one after every iteration the
+    # second.  This continuation leaves its rungs on residual, stagnation
+    # and float_floor.
+    calls = {"assemble_residual": 0, "assemble_system": 0}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counted("assemble_residual")
+    counted("assemble_system")
+    sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), schedule_preset("default"),
+                             RadialGrid.uniform(INTERVAL, 200))
+    assert {h.stop_reason for h in sol.history} == {"residual", "stagnation", "float_floor"}
+    assert calls["assemble_residual"] == sum(h.residual_evals - 1 for h in sol.history) == 168
+    assert calls["assemble_system"] == sum(h.iterations + 1 for h in sol.history) == 120
 
 
 def test_line_search_starts_from_the_last_accepted_step():
