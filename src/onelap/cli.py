@@ -3,8 +3,9 @@
 Exit status contract
     0   success; for solve/oracle/verify, additionally all verdicts true
     1   invalid flags, domain or bundle, or a verdict failed
-    2   continuation did not converge: Newton stalled (solve still writes
-        the last converged rung) or met a singular Jacobian
+    2   continuation did not converge: Newton stalled, or its banded solve
+        was singular or gave a non-finite step; solve still writes the last
+        converged rung, with the stop reason and the failed rung
 
 All numeric output goes through the 17-digit formatter in `io`, so repeated
 runs with identical flags produce byte-identical files.  Relative output
@@ -41,7 +42,6 @@ from .solver import (
     ProblemSpec,
     RadialGrid,
     RegularizationState,
-    SingularJacobian,
     continuation_solve,
     plateau_extent,
     schedule_preset,
@@ -236,13 +236,10 @@ def cmd_solve(args) -> int:
     try:
         sol = continuation_solve(spec, schedule, grid)
     except NonConvergence as exc:
-        print(f"continuation stalled at rung {exc.rung}: {exc}", file=sys.stderr)
+        print(f"continuation {exc.last.stop_reason} at rung {exc.rung}: {exc}", file=sys.stderr)
         sol, failed_rung = exc.last, exc.rung
-    except SingularJacobian as exc:
-        print(f"continuation failed at rung {exc.rung}: singular Jacobian ({exc})", file=sys.stderr)
-        return 2
-    # a stall writes its last converged rung; one at rung 0 has none, and
-    # writes the stalled iterate
+    # a failed run writes its last converged rung; one that failed at rung 0
+    # has none, and writes the failed iterate
     end = sol.history[failed_rung - 1] if failed_rung else sol
     meta = {
         "generator": "solver",
@@ -360,12 +357,10 @@ def cmd_sweep(args) -> int:
 
     specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
     results = continuation_solve(specs, schedule, grid)
-    for lam, sol in zip(lams, results):
-        if isinstance(sol, NonConvergence):
-            print(f"lambda={lam:g} stalled at rung {sol.rung}", file=sys.stderr)
-        elif isinstance(sol, SingularJacobian):
-            print(f"lambda={lam:g} failed at rung {sol.rung}: singular Jacobian ({sol})", file=sys.stderr)
-    if any(isinstance(sol, Exception) for sol in results):
+    failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
+    for lam, sol in failed:
+        print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)
+    if failed:
         return 2
 
     header = ["x"]

@@ -81,10 +81,14 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Pat
 
 
 def read_csv(path) -> tuple:
-    """Header names and one float column per header entry."""
+    """Header names and one float column per header entry; a file with no
+    rows gives zero-length columns."""
     path = Path(path)
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
+        # stops at the first row; np.loadtxt would warn on a file without one
+        if not any(line.strip() for line in fh):
+            return header, [np.empty(0) for _ in header]
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: {len(header)} header fields, {data.shape[1]} columns")

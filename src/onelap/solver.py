@@ -40,7 +40,6 @@ __all__ = [
     "ContinuationSchedule",
     "AprioriReport",
     "NonConvergence",
-    "SingularJacobian",
     "BatchSolution",
     "regularized_flux",
     "regularized_flux_prime",
@@ -58,22 +57,23 @@ __all__ = [
 SourceTerm = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
+# the stop reasons on which a strength fails its rung, with what its
+# NonConvergence says of each: Newton ran out of iterations or line search
+# ("stalled"), or its banded solve was singular or gave a non-finite step
+_FAILED = {
+    "stalled": "Newton stalled",
+    "singular": "singular Jacobian",
+    "non_finite": "non-finite Newton step",
+}
+
+
 class NonConvergence(RuntimeError):
-    """Newton failed a rung; carries the last iterate so callers can still
-    write a report."""
+    """Newton failed a rung; carries the last iterate, whose stop_reason
+    says why, so callers can still write a report."""
 
     def __init__(self, message, last=None, rung=None):
         super().__init__(message)
         self.last = last
-        self.rung = rung
-
-
-class SingularJacobian(RuntimeError):
-    """The tridiagonal system lost rank, typically eps too small for the
-    current p on an exact plateau."""
-
-    def __init__(self, message, rung=None):
-        super().__init__(message)
         self.rung = rung
 
 
@@ -193,12 +193,15 @@ class DiscreteSolution:
     z: np.ndarray
     residual: np.ndarray
     state: RegularizationState
-    converged: bool
     iterations: int
     residual_norm: float
     residual_evals: int  # kernel evaluations of this strength in the rung
     stop_reason: str = "residual"
     history: tuple = ()  # after a continuation: each rung's solution, this one's last
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason not in _FAILED
 
 
 @dataclass(frozen=True)
@@ -542,7 +545,7 @@ def _newton_steps(ab: np.ndarray, residual: np.ndarray):
     exactly its own solution.  A singular block stops that sweep, and a block
     whose elimination overflows leaks NaN into the next one (0 * inf), so in
     either case the blocks are solved one at a time and only the bad ones
-    fail.  Returns the steps and a {row: SingularJacobian} map."""
+    fail.  Returns the steps and a {row: "singular" or "non_finite"} map."""
     k, m = residual.shape
     try:
         step = solve_banded((1, 1), ab, -residual.ravel()).reshape(k, m)
@@ -556,18 +559,18 @@ def _newton_steps(ab: np.ndarray, residual: np.ndarray):
     for j in range(k):
         try:
             step[j] = solve_banded((1, 1), blocks[:, j], -residual[j])
-        except np.linalg.LinAlgError as exc:
-            failed[j] = SingularJacobian(str(exc))
+        except np.linalg.LinAlgError:
+            failed[j] = "singular"
             continue
         if not np.isfinite(step[j]).all():
-            failed[j] = SingularJacobian("non-finite Newton step")
+            failed[j] = "non_finite"
     return step, failed
 
 
 def _one(result):
-    """The K=1 case of a batched result: the solution, or its exception
-    raised."""
-    if isinstance(result, Exception):
+    """The K=1 case of a batched result: the solution, or its
+    NonConvergence raised."""
+    if isinstance(result, NonConvergence):
         raise result
     return result
 
@@ -575,9 +578,9 @@ def _one(result):
 @dataclass(frozen=True)
 class BatchSolution:
     """One rung solved for K strengths at once.  `results` holds, in input
-    order, each strength's DiscreteSolution or the exception that ended it
-    alone (NonConvergence or SingularJacobian); `iterations` is the largest
-    per-strength iteration count, the number of batched iterations."""
+    order, each strength's DiscreteSolution or the NonConvergence that ended
+    it alone; `iterations` is the largest per-strength iteration count, the
+    number of batched iterations."""
 
     results: tuple
     iterations: int
@@ -588,9 +591,9 @@ def newton_solve(
     state: RegularizationState,
     grid: RadialGrid,
     u0: np.ndarray,
-    tol: float = 1e-9,
-    step_tol: float = 1e-12,
-    max_iter: int = 200,
+    tol: float = ContinuationSchedule.newton_tol,
+    step_tol: float = ContinuationSchedule.step_tol,
+    max_iter: int = ContinuationSchedule.max_iter,
 ):
     """Damped Newton on the rung equations from the iterate u0.
 
@@ -602,7 +605,7 @@ def newton_solve(
     allowance-weighted residual 2-norm; the weighting keeps plateau
     quantization noise at O(1) per row so progress on the few genuinely
     unconverged rows stays visible.  Each search halves alpha from its
-    start for at most 50 trials, and a dead end raises NonConvergence.  The
+    start for at most 50 trials, and a dead end stalls the strength.  The
     start is not always 1: a strength remembers the alpha it last accepted
     in this call, and its next search starts at min(1, 2 alpha), so a
     strength crawling at alpha ~ 2^-15 does not pay 15 rejected trials per
@@ -610,18 +613,24 @@ def newton_solve(
     starts at 1 on every call, that is on every rung.  `residual_evals`
     counts the strength's first evaluation plus every trial it took part in.
 
+    A strength fails its rung when it runs out of iterations or meets a line
+    search dead end ("stalled"), or when its banded solve is singular
+    ("singular") or gives a non-finite step ("non_finite").  It then ends in
+    NonConvergence, whose `last` is the DiscreteSolution at its last iterate.
+
     Given K specs and u0 of shape (K, M+1), the K strengths iterate
     together: each iteration assembles and solves the strengths still
     iterating in one call each, while every strength keeps its own stop
     test, damping and backtracking.  A strength that converges waits; one
-    that stalls or meets a singular Jacobian drops out alone.  The result is
-    a BatchSolution.  One spec is the K=1 case, on the same path: its
-    DiscreteSolution is returned and its exception raised.
+    that fails drops out alone.  The result is a BatchSolution.  One spec is
+    the K=1 case, on the same path: its DiscreteSolution is returned and its
+    NonConvergence raised.
 
     The strengths still iterating are one row set (`_Pieces`): a row holds
     its strength's index, state, residual and Jacobian pieces, the line
     search moves accepted trials into it, and every exit ends its strengths
-    through `leave`, which keeps the other rows with one `_Pieces.take`.
+    through `leave`, which picks every stop reason and keeps the other rows
+    with one `_Pieces.take`.
     """
     specs = _strengths(spec)
     single = isinstance(spec, ProblemSpec)
@@ -633,33 +642,32 @@ def newton_solve(
     last_alpha = np.ones(len(specs))
     evals = np.ones(len(specs), dtype=int)
 
-    def leave(gone, its, reason):
+    def leave(gone, its, cause):
         """End the strengths in the rows `gone` of the row set after `its`
-        iterations.  A row's reason is a stop reason (one for all rows, or
-        one per row) or the exception that ended it; "stalled" ends it in
-        NonConvergence.  Returns the row set of the rows that stay."""
+        iterations.  A row stops on "residual" when its max |residual| is at
+        most tol, otherwise on the cause its exit names (one stop reason for
+        all rows, or one per row); a failing reason ends it in
+        NonConvergence.  Rows at the stagnation (or singular) and dead-end
+        exits failed the done test, whose allowance is at least tol, so they
+        keep their cause.  Returns the row set of the rows that stay."""
         for j in np.flatnonzero(gone):
             i = pieces.rows[j]
-            why = reason if isinstance(reason, str) else reason[j]
-            counts[i] = its
-            if isinstance(why, Exception):
-                results[i] = why
-                continue
             norm = float(np.abs(pieces.residual[j]).max())
+            why = "residual" if norm <= tol else (cause if isinstance(cause, str) else cause[j])
+            counts[i] = its
             sol = DiscreteSolution(
                 u=pieces.u[j].copy(),
                 z=regularized_flux(pieces.D[j], state.p, state.eps),
                 residual=pieces.residual[j].copy(),
                 state=state,
-                converged=why != "stalled",
                 iterations=its,
                 residual_norm=norm,
                 residual_evals=int(evals[i]),
-                stop_reason=str(why),
+                stop_reason=why,
             )
-            if why == "stalled":
+            if why in _FAILED:
                 sol = NonConvergence(
-                    f"Newton stalled at residual {norm:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
+                    f"{_FAILED[why]} at residual {norm:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
                     last=sol,
                 )
             results[i] = sol
@@ -672,8 +680,7 @@ def newton_solve(
         allow = np.maximum(tol, _row_allowance(ab, pieces.u))
         done = (np.abs(pieces.residual) <= allow).all(axis=1)
         if any(done):
-            rmax = np.abs(pieces.residual).max(axis=1)
-            pieces = leave(done, its - 1, np.where(rmax <= tol, "residual", "float_floor"))
+            pieces = leave(done, its - 1, "float_floor")
             if not pieces.rows.size:
                 break
             ab = ab.reshape(3, done.size, m)[:, ~done].reshape(3, -1)
@@ -708,15 +715,13 @@ def newton_solve(
                 pos, step, allow, rnorm, alpha = pos[~ok], step[~ok], allow[~ok], rnorm[~ok], alpha[~ok]
             alpha *= 0.5
         if not all(accepted):
-            # a line-search dead end ends the strength on its last iterate;
-            # its rows failed the done test, so their residual is above tol
+            # a line-search dead end ends the strength on its last iterate
             pieces = leave(~accepted, its, "stalled")
             if not pieces.rows.size:
                 break
         _, ab = assemble_system(tuple(specs[i] for i in pieces.rows), state, grid, pieces.u, pieces=pieces)
     else:
-        rmax = np.abs(pieces.residual).max(axis=1)
-        leave(np.ones(pieces.rows.size, dtype=bool), its, np.where(rmax <= tol, "residual", "stalled"))
+        leave(np.ones(pieces.rows.size, dtype=bool), its, "stalled")
     if single:
         return _one(results[0])
     return BatchSolution(results=tuple(results), iterations=max(counts))
@@ -753,9 +758,9 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb the ladder together, one batched `newton_solve` per rung, and the
     result is a list in input order holding each strength's final solution
-    or the NonConvergence / SingularJacobian, with its `rung` set, that
-    stopped it; the others carry on.  One spec is the K=1 case: its solution
-    is returned and its exception raised.
+    or the NonConvergence, with its `rung` set, that stopped it; the others
+    carry on.  One spec is the K=1 case: its solution is returned and its
+    NonConvergence raised.
     """
     specs = _strengths(spec)
     u = np.zeros((len(specs), grid.mesh_size + 1))
@@ -784,10 +789,9 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
         )
         climbing = []
         for i, sol in zip(rows, batch.results):
-            if isinstance(sol, Exception):
+            if isinstance(sol, NonConvergence):
                 sol.rung = k
-                if isinstance(sol, NonConvergence):
-                    sol.last = replace(sol.last, history=(*histories[i], sol.last))
+                sol.last = replace(sol.last, history=(*histories[i], sol.last))
                 results[i] = sol
                 continue
             u[i] = sol.u
@@ -823,16 +827,11 @@ def apriori_bounds_report(
     u: np.ndarray,
     slack: float = 0.05,
 ) -> AprioriReport:
-    u = _check_iterate(grid, u)
-    m = grid.mesh_size
-    dr = grid.spacing
+    pieces = _entry(spec, state, grid, u)  # the solver's own h_n(u) and q^p
     area = sphere_area(grid.dim)
-    grad = gradient_mass(grid, u, state.p)
-    D = np.diff(u) / dr
-    q = _nodal_gradient_scale(D, state.eps)
-    h = absorption_truncated(u[:m], state.n, spec.gamma)
+    grad = gradient_mass(grid, pieces.u[0], state.p)
     vols = grid.cell_volumes()
-    absorb = float(area * np.sum(h * q**state.p * vols[:m]))
+    absorb = float(area * np.sum(pieces.h[0] * pieces.qp[0] * vols[:grid.mesh_size]))
     lam = spec.constant_source
     if lam is not None:
         # exact mass lam * omega_N * R^N for a constant source

@@ -175,7 +175,7 @@ def test_solve_writes_certified_bundle(solve_bundle):
     assert meta["plateau_radius_estimate"] == approx(0.25, abs=0.02)
 
 
-def test_verify_recertifies_bundle(solve_bundle, capsys):
+def test_verify_recertifies_bundle(solve_bundle, capsys, _out_dir):
     rc, base = solve_bundle
     assert cli.main(["verify", "--input", str(base)]) == 0
     out = capsys.readouterr().out
@@ -183,6 +183,10 @@ def test_verify_recertifies_bundle(solve_bundle, capsys):
     report = io.read_json(base.parent / "sol.verify.json")
     assert report["passed"] is True
     assert report["tolerances"]["equation"] == 1e-2
+    # a relative --output lands in the output directory, subdirectory and all
+    assert cli.main(["verify", "--input", str(base), "--output", "vv/x.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {_out_dir / 'vv' / 'x.json'}"
+    assert (_out_dir / "vv" / "x.json").read_bytes() == (base.parent / "sol.verify.json").read_bytes()
 
 
 def test_verify_flags_tampered_flux(solve_bundle, tmp_path):
@@ -295,6 +299,9 @@ def test_sweep_solver_mode(tmp_path):
     # curves are named by six significant digits, so these three would share one
     pytest.param("4,4.0000000001,4", 3, "source strengths 4.0 and 4.0000000001 share the column name u_lam4",
                  id="same-name"),
+    pytest.param("2:3", 3, "range must be start:stop:step, got '2:3'", id="two-part-range"),
+    pytest.param("2,x", 3, "cannot parse lambda list '2,x'", id="not-a-number"),
+    pytest.param(",", 3, "empty lambda list", id="empty-list"),
 ])
 def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mode, lambdas, samples, message):
     # a section needs both ends, and each strength a column of its own; the
@@ -308,6 +315,20 @@ def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mod
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.glob("sw*")) == []
+
+
+@pytest.mark.parametrize("mode, key", [("oracle", "curves"), ("solver", "columns")])
+def test_sweep_json_holds_the_csv_columns(tmp_path, mode, key):
+    argv = ["sweep", "--mode", mode, "--dim", "1", "--lambdas", "3,5", "--samples", "21", "--mesh", "200"]
+    assert cli.main(argv + ["--output", str(tmp_path / "c")]) == 0
+    assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "j")]) == 0
+    header, cols = io.read_csv(tmp_path / "c.csv")
+    payload = io.read_json(tmp_path / "j.json")
+    # the oracle names its curves by strength, the solver its columns by header
+    names = [h.removeprefix("u_lam") for h in header[1:]] if mode == "oracle" else header[1:]
+    assert payload == {"x": cols[0].tolist(), key: {n: c.tolist() for n, c in zip(names, cols[1:])}}
+    if mode == "solver":
+        assert (tmp_path / "j_reports.json").read_bytes() == (tmp_path / "c_reports.json").read_bytes()
 
 
 def _sweep(tmp_path, lams, mesh):
@@ -395,20 +416,81 @@ def test_sweep_singular_jacobian_exits_two(tmp_path, capsys, monkeypatch):
     _singular_at(3.0, 200, monkeypatch)
     assert _sweep(tmp_path, "2,3", 200) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["lambda=3 failed at rung 0: singular Jacobian (singular matrix)"]
+    assert err.splitlines() == ["lambda=3 singular at rung 0"]
     assert not (tmp_path / "sw.csv").exists()
 
 
 def test_solve_singular_jacobian_exits_two(tmp_path, capsys, monkeypatch):
+    # a singular solve fails its rung as a stall does: at rung 0 there is no
+    # converged rung, so the bundle holds the failed iterate, the zero start
     _singular_at(None, 100, monkeypatch)
     rc = cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "100",
                    "--output", str(tmp_path / "sol")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["continuation failed at rung 0: singular Jacobian (singular matrix)"]
+    assert err.splitlines() == [
+        "continuation singular at rung 0: singular Jacobian at residual 4.000e+00 (p=1.5, n=100, eps=0.001)"]
+    meta = io.read_json(tmp_path / "sol.meta.json")
+    assert (meta["stop_reason"], meta["converged"], meta["failed_rung"]) == ("singular", False, 0)
+    assert [(r["stop_reason"], r["iterations"]) for r in meta["rungs"]] == [("singular", 0)]
+    assert io.read_solution(tmp_path / "sol").u.tobytes() == np.zeros(101).tobytes()
+
+
+def test_solve_singular_at_a_later_rung_writes_the_rung_before(tmp_path, capsys, monkeypatch):
+    # the banded solve refuses every system of rung 2 (p = 1.1): the bundle
+    # holds the arrays of rung 1, as a stall's holds its last converged rung
+    real_system, real_solve = solver.assemble_system, solver.solve_banded
+    rung_p = []
+
+    def system(spec, state, grid, u, pieces=None):
+        rung_p.append(state.p)
+        return real_system(spec, state, grid, u, pieces=pieces)
+
+    def solve(lu, ab, b):
+        if rung_p[-1] == 1.1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_solve(lu, ab, b)
+
+    monkeypatch.setattr(solver, "assemble_system", system)
+    monkeypatch.setattr(solver, "solve_banded", solve)
+    rc = cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "100",
+                   "--output", str(tmp_path / "sol")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("continuation singular at rung 2: singular Jacobian at residual ")
+    meta = io.read_json(tmp_path / "sol.meta.json")
+    assert (meta["stop_reason"], meta["converged"], meta["failed_rung"]) == ("singular", False, 2)
+    assert [r["stop_reason"] for r in meta["rungs"]][2:] == ["singular"]
+    with pytest.raises(solver.NonConvergence) as exc:
+        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0), schedule_preset("default"),
+                           RadialGrid.uniform(DomainSpec("interval", 1), 100))
+    history = exc.value.last.history
+    assert [h.stop_reason for h in history][2:] == ["singular"] and history[2].iterations == 0
+    assert meta["residual_norm"] == meta["rungs"][1]["residual_norm"] == history[1].residual_norm
+    rec = io.read_solution(tmp_path / "sol")
+    assert rec.u.tobytes() == history[1].u.tobytes()
+    assert rec.flux_z.tobytes() == history[1].z.tobytes()
+    assert rec.residual[:-1].tobytes() == history[1].residual.tobytes()
 
 
 _MISSING = object()
+
+
+@pytest.mark.parametrize("table", ["header-only", "moved-node"])
+def test_verify_bundle_off_its_grid_exits_one(tmp_path, capsys, table):
+    # a table without rows, or with a node off the grid that the metadata
+    # names, is a bad bundle: one error line, and no numpy warning first
+    assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "100",
+                     "--output", str(tmp_path / "orc")]) == 0
+    header, cols = io.read_csv(tmp_path / "orc.csv")
+    if table == "header-only":
+        cols = [c[:0] for c in cols]
+    else:
+        cols[0][5] += 1e-3
+    io.write_csv(tmp_path / "orc.csv", header, cols)
+    capsys.readouterr()
+    assert cli.main(["verify", "--input", str(tmp_path / "orc")]) == 1
+    assert capsys.readouterr() == ("", "error: stored abscissae do not match the grid in the metadata\n")
+    assert not (tmp_path / "orc.verify.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [("kind", _MISSING), ("dim", _MISSING), ("mesh", _MISSING),
@@ -495,6 +577,7 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     (["solve", "--lambda", "4"], {"max_iter": 5, "command": "oracle"}, "command"),
     (["cheeger"], {"format": "xml"}, "config 'format' must be one of ['csv', 'json'], got 'xml'"),
     (["sweep", "--lambdas", "4"], {"mode": "solverr"}, "config 'mode' must be one of ['oracle', 'solver'], got 'solverr'"),
+    (["cheeger"], [1, 2], "config must be a JSON object"),
 ])
 def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     # a key that names no flag of the subcommand, nor a schedule knob of
@@ -580,11 +663,16 @@ def test_config_defaults_yield_to_explicit_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["exact"] == 3.0
 
 
-def test_relative_output_lands_in_env_dir(_out_dir):
+def test_relative_output_lands_in_env_dir(_out_dir, capsys):
     assert cli.main(["cheeger", "--dim", "2", "--format", "csv", "--output", "c.csv"]) == 0
     header, cols = io.read_csv(_out_dir / "c.csv")
     assert header == ["lower", "upper", "exact"]
     assert cols[2][0] == 2.0
+    capsys.readouterr()
+    # a JSON record goes to stdout and, given --output, to that file as well
+    assert cli.main(["cheeger", "--dim", "2", "--output", "ch.json"]) == 0
+    assert capsys.readouterr().out == (_out_dir / "ch.json").read_text()
+    assert io.read_json(_out_dir / "ch.json")["exact"] == 2.0
 
 
 _NO_SOLVE = """

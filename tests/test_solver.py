@@ -9,7 +9,6 @@ from onelap.solver import (
     ContinuationSchedule,
     DomainSpec,
     NonConvergence,
-    SingularJacobian,
     ProblemSpec,
     RadialGrid,
     RegularizationState,
@@ -56,6 +55,9 @@ def test_problem_spec_profile_source():
     bad = ProblemSpec(INTERVAL, gamma=1.0, source=lambda r: r - 0.5)
     with pytest.raises(ValueError, match="source must be nonnegative"):
         bad.source_values(r)
+    short = ProblemSpec(INTERVAL, gamma=1.0, source=lambda r: np.ones(3))
+    with pytest.raises(ValueError, match="one value per node"):
+        short.source_values(r)
 
 
 def test_regularization_state_validation():
@@ -73,6 +75,10 @@ def test_regularization_state_validation():
         RadialGrid.uniform(INTERVAL, 4)
     with pytest.raises(ValueError, match="finite"):
         RadialGrid(dim=1, radius=np.inf, mesh_size=64)
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        RadialGrid(dim=0, radius=1.0, mesh_size=64)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        RadialGrid(dim=1, radius=0.0, mesh_size=64)
 
 
 def test_grid_weights_telescope():
@@ -490,7 +496,8 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     # the fake solve breaks the lam = 3 block at the zero start (right-hand
     # side -residual = lam there): it refuses any system holding that block,
     # or returns NaN in it; the stacked solve then falls back to one block
-    # at a time and only that strength fails
+    # at a time and only that strength fails, on its zero start, as a stall
+    # fails: a NonConvergence whose last iterate names the cause
     grid = RadialGrid.uniform(INTERVAL, 64)
     st = _state()
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in (2.0, 3.0, 4.0)]
@@ -506,16 +513,24 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
 
     monkeypatch.setattr(solver, "solve_banded", fake)
     batch = newton_solve(specs, st, grid, np.zeros((3, 65)))
-    assert isinstance(batch.results[1], SingularJacobian)
-    assert str(batch.results[1]) == {"singular": "singular matrix", "non-finite": "non-finite Newton step"}[failure]
+    reason, cause = {"singular": ("singular", "singular Jacobian"),
+                     "non-finite": ("non_finite", "non-finite Newton step")}[failure]
+    broken = batch.results[1]
+    assert isinstance(broken, NonConvergence)
+    assert str(broken) == f"{cause} at residual 3.000e+00 (p=1.2, n=100, eps=0.0001)"
+    last = broken.last
+    assert (last.stop_reason, last.converged, last.iterations, last.residual_evals) == (reason, False, 0, 1)
+    assert last.u.tobytes() == np.zeros(65).tobytes()
+    assert last.residual.tobytes() == assemble_residual(specs[1], st, grid, np.zeros(65)).tobytes()
     for k in (0, 2):
         want = newton_solve(specs[k], st, grid, np.zeros(65))
         assert np.array_equal(batch.results[k].u, want.u)
         assert batch.results[k].iterations == want.iterations
     assert batch.iterations == max(batch.results[k].iterations for k in (0, 2))
-    with pytest.raises(SingularJacobian) as info:
+    with pytest.raises(NonConvergence) as info:
         continuation_solve(specs[1], ContinuationSchedule((st,)), grid)
-    assert info.value.rung == 0
+    assert info.value.rung == 0 and str(info.value) == str(broken)
+    assert [h.stop_reason for h in info.value.last.history] == [reason]
 
 
 def test_batched_newton_out_of_iterations_next_to_an_immediate_solve():
@@ -586,6 +601,8 @@ def test_batch_rejects_mixed_exponents_and_bad_shapes():
         assemble_residual(specs, _state(), grid, np.zeros((2, 65)))
     with pytest.raises(ValueError, match="shape"):
         assemble_residual(specs[:1], _state(), grid, np.zeros(65))
+    with pytest.raises(ValueError, match="at least one problem"):
+        newton_solve([], _state(), grid, np.zeros((0, 65)))
 
 
 def test_solve_problem_front_door():

@@ -169,6 +169,8 @@ def test_candidate_shape_mismatch_raises():
         verify((u[:-1], z), spec, grid)
     with pytest.raises(GridMismatch):
         verify((u, z[:-1]), spec, grid)
+    with pytest.raises(ValueError, match="candidate must be finite"):
+        verify((np.where(grid.nodes == 0.5, np.nan, u), z), spec, grid)
 
 
 def test_pointwise_residual_shape_and_trivial_value():
@@ -217,6 +219,20 @@ def test_log_substitution_matches_hand_integrals():
     assert rep.lhs == approx(3.75, rel=1e-5)
     assert rep.rhs == approx(6.0, rel=1e-5)
     assert rep.holds and rep.pointwise_ok
+
+
+def test_log_substitution_guards():
+    dom = DomainSpec("ball", 2)
+    grid = RadialGrid.uniform(dom, 50)
+    candidate = sampled_trivial(grid, 1.0)
+    with pytest.raises(ValueError, match="gamma = 1"):
+        logsub_cheeger_check(candidate, ProblemSpec(dom, gamma=2.0, source=1.0), grid)
+    ramp = ProblemSpec(dom, gamma=1.0, source=lambda r: 1.0 + r)
+    with pytest.raises(ValueError, match="constant source"):
+        logsub_cheeger_check(candidate, ramp, grid)
+    hot = (np.ones(grid.mesh_size + 1), np.zeros(grid.mesh_size))
+    with pytest.raises(ValueError, match="below 1"):
+        logsub_cheeger_check(hot, ProblemSpec(dom, gamma=1.0, source=1.0), grid)
 
 
 def test_log_substitution_zero_floor():
