@@ -338,46 +338,42 @@ def cmd_sweep(args) -> int:
         )
     x = np.linspace(-1.0, 1.0, args.samples)
     base = _strip_ext(_resolve(args.output, f"sweep_{args.mode}_{args.dim}d"))
+    header = ["x"]
+    cols = [x]
+    r_abs = np.abs(x)
+    reports = None
     if args.mode == "oracle":
         if args.gamma != 1.0:
             # the closed forms are the gamma = 1 solutions
             raise _CliError(f"sweep --mode oracle knows only gamma = 1, got --gamma {args.gamma:g}")
-        curves = [oracle.profile(args.dim, lam, np.abs(x)) for lam in lams]
-        header = ["x"] + [f"u_lam{lam:g}" for lam in lams]
-        if args.format == "csv":
-            path = io.write_csv(base.parent / f"{base.name}.csv", header, [x] + curves)
-        else:
-            payload = {"x": x, "curves": {f"{lam:g}": c for lam, c in zip(lams, curves)}}
-            path = io.write_json(base.parent / f"{base.name}.json", payload)
-        print(f"wrote {path}")
-        return 0
-
-    grid = RadialGrid.uniform(domain, args.mesh)
-    schedule = _schedule_for(args)
-
-    specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
-    results = continuation_solve(specs, schedule, grid)
-    failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
-    for lam, sol in failed:
-        print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)
-    if failed:
-        return 2
-
-    header = ["x"]
-    cols = [x]
-    reports = {}
-    r_abs = np.abs(x)
-    for lam, spec, sol in zip(lams, specs, results):
-        rep = verify(sol, spec, grid, Tolerances.for_solver())
-        header += [f"u_lam{lam:g}", f"res_lam{lam:g}"]
-        cols.append(np.interp(r_abs, grid.nodes, sol.u))
-        cols.append(np.interp(r_abs, grid.nodes, np.append(sol.residual, 0.0)))
-        reports[f"{lam:g}"] = _report_payload(rep)
+        for lam in lams:
+            header.append(f"u_lam{lam:g}")
+            cols.append(oracle.profile(args.dim, lam, r_abs))
+    else:
+        grid = RadialGrid.uniform(domain, args.mesh)
+        schedule = _schedule_for(args)
+        specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
+        results = continuation_solve(specs, schedule, grid)
+        failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
+        for lam, sol in failed:
+            print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)
+        if failed:
+            return 2
+        reports = {}
+        for lam, spec, sol in zip(lams, specs, results):
+            rep = verify(sol, spec, grid, Tolerances.for_solver())
+            header += [f"u_lam{lam:g}", f"res_lam{lam:g}"]
+            cols.append(np.interp(r_abs, grid.nodes, sol.u))
+            cols.append(np.interp(r_abs, grid.nodes, np.append(sol.residual, 0.0)))
+            reports[f"{lam:g}"] = _report_payload(rep)
     if args.format == "csv":
         path = io.write_csv(base.parent / f"{base.name}.csv", header, cols)
     else:
         payload = {"x": x, "columns": dict(zip(header[1:], cols[1:]))}
         path = io.write_json(base.parent / f"{base.name}.json", payload)
+    if reports is None:
+        print(f"wrote {path}")
+        return 0
     rep_path = io.write_json(base.parent / f"{base.name}_reports.json", reports)
     print(f"wrote {path} and {rep_path}")
     return 0

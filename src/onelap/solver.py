@@ -23,7 +23,11 @@ unavoidable plateau residual stays well under the verifier's tolerances.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -511,24 +515,41 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper, the extension module behind
+    scipy.linalg.lapack, loaded from its file once per process.  Finding the
+    scipy package runs none of its code, so neither scipy/__init__.py nor
+    scipy/linalg/__init__.py is imported."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("the banded solve needs scipy", name="scipy")
+    path = os.path.join(scipy.submodule_search_locations[0], "linalg",
+                        "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    # CPython files the module in sys.modules under this name; one inside
+    # scipy.linalg would stand for a package that was never imported
+    loader = importlib.machinery.ExtensionFileLoader("onelap._flapack", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
 def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in banded form ab (shape (3, M),
     ab[1 + i - j, j] = a[i, j]) for the float64 right-hand side b.
 
     This is scipy.linalg.solve_banded((1, 1), ab, b) without its input
-    validation: the same LAPACK routine dgtsv on the same diagonals, so the
-    solution agrees bit for bit.  scipy is imported here, at the first call,
-    so the commands that never solve start without it.  A zero pivot raises
-    LinAlgError("singular matrix").
+    validation: the same LAPACK routine dgtsv, from the same compiled
+    wrapper, on the same diagonals, so the solution agrees bit for bit.  The
+    wrapper is loaded at the first call, so no command imports scipy.linalg.
+    A zero pivot raises LinAlgError("singular matrix").
     """
-    from scipy.linalg.lapack import dgtsv
-
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only tridiagonal systems, (l, u) = (1, 1), are supported, got {l_and_u!r}")
     # dgtsv works on copies, so ab stays intact for _newton_steps' fallback;
     # letting it overwrite b as well saves a copy, but on the solve-fine
     # benchmark workload that raised peak memory by about 3 MB
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    *_, x, info = _flapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

@@ -317,16 +317,16 @@ def test_sweep_rejects_fewer_than_two_samples(tmp_path, capsys, monkeypatch, mod
     assert list(tmp_path.glob("sw*")) == []
 
 
-@pytest.mark.parametrize("mode, key", [("oracle", "curves"), ("solver", "columns")])
-def test_sweep_json_holds_the_csv_columns(tmp_path, mode, key):
+@pytest.mark.parametrize("mode", ["oracle", "solver"])
+def test_sweep_json_holds_the_csv_columns(tmp_path, mode):
     argv = ["sweep", "--mode", mode, "--dim", "1", "--lambdas", "3,5", "--samples", "21", "--mesh", "200"]
     assert cli.main(argv + ["--output", str(tmp_path / "c")]) == 0
     assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "j")]) == 0
     header, cols = io.read_csv(tmp_path / "c.csv")
-    payload = io.read_json(tmp_path / "j.json")
-    # the oracle names its curves by strength, the solver its columns by header
-    names = [h.removeprefix("u_lam") for h in header[1:]] if mode == "oracle" else header[1:]
-    assert payload == {"x": cols[0].tolist(), key: {n: c.tolist() for n, c in zip(names, cols[1:])}}
+    # one shape in both modes: the CSV's columns, keyed by its header
+    assert io.read_json(tmp_path / "j.json") == {
+        "x": cols[0].tolist(), "columns": {h: c.tolist() for h, c in zip(header[1:], cols[1:])}
+    }
     if mode == "solver":
         assert (tmp_path / "j_reports.json").read_bytes() == (tmp_path / "c_reports.json").read_bytes()
 
@@ -689,14 +689,44 @@ for argv in runs:
 before = "scipy.linalg" in sys.modules
 cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "64", "--schedule", "fast"])
 print("scipy.linalg loaded before and after a solve:", before, "scipy.linalg" in sys.modules)
+print("scipy.linalg modules after a solve:", sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
 """
 
 
-def test_commands_that_never_solve_start_without_scipy(tmp_path):
-    # scipy.linalg is a third of the CLI's start-up; only the banded solve
-    # needs it, and it loads it on first use
+def _fresh_python(tmp_path, script, *args):
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _NO_SOLVE], cwd=tmp_path, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src, "ONELAP_OUT_DIR": str(tmp_path)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "scipy.linalg loaded before and after a solve: False True"
+    return proc.stdout.splitlines()
+
+
+def test_commands_that_never_solve_start_without_scipy(tmp_path):
+    # importing scipy.linalg takes about half of a short fresh solve; the
+    # banded solve loads only scipy's compiled LAPACK wrapper, so no command
+    # imports it
+    assert _fresh_python(tmp_path, _NO_SOLVE)[-2:] == [
+        "scipy.linalg loaded before and after a solve: False False",
+        "scipy.linalg modules after a solve: []",
+    ]
+
+
+_SOLVE = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from onelap import cli
+sys.exit(cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "200", "--output", sys.argv[1]]))
+"""
+
+
+def test_solve_gives_the_same_bundle_whether_or_not_scipy_linalg_is_loaded(tmp_path):
+    # the banded solve loads the very file that scipy.linalg.lapack imports,
+    # so its dgtsv is the Fortran routine scipy.linalg.solve_banded calls
+    from scipy.linalg import _flapack
+
+    assert solver._flapack().__file__ == _flapack.__file__
+    for first in ("scipy-first", "onelap-only"):
+        _fresh_python(tmp_path, _SOLVE, first)
+    for sfx in (".csv", "_flux.csv", ".meta.json"):
+        assert (tmp_path / f"scipy-first{sfx}").read_bytes() == (tmp_path / f"onelap-only{sfx}").read_bytes()

@@ -482,11 +482,16 @@ def test_solve_banded_matches_scipy_bitwise(m, pivoting):
         assert one.tobytes() == got[j * m:(j + 1) * m].tobytes()
 
 
-def test_solve_banded_rejects_singular_and_non_tridiagonal_systems():
+def test_solve_banded_rejects_singular_and_non_tridiagonal_systems(monkeypatch):
     ab = np.ones((3, 8))
     ab[:, 3] = 0.0  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solver.solve_banded((1, 1), ab, np.ones(8))
+
+    def no_load():
+        raise AssertionError("loaded LAPACK before checking the bandwidths")
+
+    monkeypatch.setattr(solver, "_flapack", no_load)
     with pytest.raises(ValueError, match="tridiagonal"):
         solver.solve_banded((2, 1), np.ones((4, 8)), np.ones(8))
 
