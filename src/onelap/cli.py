@@ -7,8 +7,10 @@ Exit status contract
         was singular or gave a non-finite step; solve still writes the last
         converged rung, with the stop reason and the failed rung
 
-All numeric output goes through the 17-digit formatter in `io`, so repeated
-runs with identical flags produce byte-identical files.  Relative output
+CSV tables and the numbers in printed summaries use the 17-digit text of
+`io.format_float`, and JSON, written or printed, uses Python's shortest
+round-trip `repr`; both read back bit for bit, so repeated runs with
+identical flags produce byte-identical files.  Relative output
 paths land in $ONELAP_OUT_DIR when that is set, the working directory
 otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from pytest import approx
 
 from onelap import cli, io, solver
@@ -49,18 +50,61 @@ def test_csv_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(sent, got)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 5000])
-def test_csv_text_is_format_float_per_value(tmp_path, rows):
-    # the whole-table writer must print each double exactly as format_float
-    # does, including the values whose text is special
+def _hard_doubles():
+    """Doubles whose "%.17g" text is easy to get wrong."""
+    rng = np.random.default_rng(2)
     edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 0.1, -1.0 / 3.0,
             1e16, 123456789012345680.0, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
-    rng = np.random.default_rng(rows)
-    values = np.concatenate([edge, rng.standard_normal(3 * rows) * 10.0 ** rng.integers(-300, 300, 3 * rows)])
-    cols = [values[k : k + rows] for k in (0, rows, 2 * rows)]
-    path = io.write_csv(tmp_path / "t.csv", ["a", "b", "c"], cols)
-    want = "a,b,c\n" + "".join(",".join(io.format_float(v) for v in row) + "\n" for row in zip(*cols))
+    # 10^k, the points where %g changes notation, and both float neighbours
+    centres = [float(f"1e{k}") for k in range(-300, 301)] + [1e-5, 1e-4, 1e16, 1e17]
+    powers = [float(np.nextafter(x, to)) for x in centres for to in (0.0, x, math.inf)]
+    # from 18-digit integers ending in 5: the doubles nearest to them scaled
+    # by 10^e, and exact ties m / 2^j (m odd, 18 - j digits before the point),
+    # which "%.17g" rounds half-even
+    tail5 = rng.integers(10**16, 10**17, 300) * 10 + 5
+    nearest = [float(f"{d}e{e}") for d, e in zip(tail5.tolist(), rng.integers(-300, 290, 300).tolist())]
+    ties = []
+    for j in range(2, 25):
+        q = 18 - j
+        low = 10 ** (q - 1) * 2 ** (j - 1) if q >= 1 else -(-(2 ** (j - 1)) // 10 ** (1 - q))
+        high = min(10**q * 2 ** (j - 1) if q >= 0 else 2 ** (j - 1) // 10**-q, 2**52)
+        ties += [(2 * m + 1) / 2**j for m in rng.integers(low, high, 10).tolist()]
+    scattered = rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, 3000)
+    return np.concatenate([edge, powers, nearest, ties, -np.array(ties), scattered])
+
+
+_BLOCK = io._CSV_BLOCK_VALUES
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    pytest.param(0, 3, id="0"), pytest.param(1, 3, id="1"), pytest.param(5000, 3, id="5000"),
+    pytest.param(_BLOCK - 1, 1, id="block-1"), pytest.param(_BLOCK, 1, id="block"),
+    pytest.param(_BLOCK + 1, 1, id="block+1"), pytest.param(401, 17, id="401x17")])
+def test_csv_text_is_format_float_per_value(tmp_path, rows, ncols):
+    # the whole-table writer must print each double exactly as format_float
+    # does, including the values whose text is special, at table shapes
+    # around the writer's block size and at the shape of a sweep table; the
+    # 5000 x 3 table holds every hard double at least once
+    table = np.resize(_hard_doubles(), (rows, ncols))
+    header = [f"c{j}" for j in range(ncols)]
+    path = io.write_csv(tmp_path / "t.csv", header, list(table.T))
+    want = ",".join(header) + "\n" + "".join(",".join(io.format_float(v) for v in row) + "\n" for row in table)
     assert path.read_bytes() == want.encode("ascii")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # one file, rewritten each time
+@given(st.lists(st.tuples(st.floats(), st.floats())))
+def test_csv_writes_and_reads_back_any_double(tmp_path, pairs):
+    cols = [np.array([p[j] for p in pairs], dtype=float) for j in (0, 1)]
+    path = io.write_csv(tmp_path / "any.csv", ["a", "b"], cols)
+    want = "a,b\n" + "".join(f"{io.format_float(x)},{io.format_float(y)}\n" for x, y in pairs)
+    assert path.read_bytes() == want.encode("ascii")
+    _, back = io.read_csv(path)
+    for sent, got in zip(cols, back):
+        # bit for bit, except that any nan may come back as the default nan
+        nan = np.isnan(sent)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(sent[~nan].view(np.int64), got[~nan].view(np.int64))
 
 
 def test_csv_rejects_ragged_input(tmp_path):
