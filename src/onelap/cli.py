@@ -243,6 +243,8 @@ def cmd_solve(args) -> int:
     # a failed run writes its last converged rung; one that failed at rung 0
     # has none, and writes the failed iterate
     end = sol.history[failed_rung - 1] if failed_rung else sol
+    # a grid-sequenced solve climbs its first rungs on coarser meshes
+    grids = {m: RadialGrid.uniform(spec.domain, m) for m in {r.u.size - 1 for r in sol.history}}
     meta = {
         "generator": "solver",
         "schedule": {
@@ -262,7 +264,8 @@ def cmd_solve(args) -> int:
                 "residual_norm": r.residual_norm,
                 "stop_reason": r.stop_reason,
                 "sup_norm": float(np.max(np.abs(r.u))),
-                "plateau_radius": plateau_extent(grid, r.u),
+                "plateau_radius": plateau_extent(grids[r.u.size - 1], r.u),
+                "mesh": r.u.size - 1,
             }
             for r in sol.history
         ],

@@ -144,6 +144,8 @@ def test_criterion_5_apriori_and_level_set_bounds(interval_solve, rigidity_scan)
     checked = live = 0
     for spec, grid, sol in everything:
         for rung in sol.history:
+            # a grid-sequenced solve climbs its first rungs on coarser meshes
+            grid = RadialGrid.uniform(spec.domain, rung.u.size - 1)
             rep = apriori_bounds_report(spec, rung.state, grid, rung.u, slack=0.05)
             assert rep.gradient_bound_ok and rep.absorption_bound_ok, (
                 spec.domain.kind, spec.constant_source, rung.state.p)

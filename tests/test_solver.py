@@ -332,15 +332,77 @@ def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
                 assert got.iterations < sched.max_iter
         else:
             assert len(got.history) == len(sched.states)
-        assert _rung_trace(got) == _rung_trace(want)
-        for a, b in zip(got.history, want.history):
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.residual, b.residual)
-        assert np.array_equal(got.u, want.u) and np.array_equal(got.residual, want.residual)
-        assert np.array_equal(got.z, want.z)
-        assert (got.iterations, got.stop_reason, got.residual_norm) == (
-            want.iterations, want.stop_reason, want.residual_norm)
+        _assert_same_climb(got, want)
     # the stall branch above really ran
     assert stalled == [lam]
+
+
+def _assert_same_climb(got, want):
+    """Two continuation results agree bit for bit, rung by rung."""
+    assert _rung_trace(got) == _rung_trace(want)
+    for a, b in zip(got.history, want.history):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.residual, b.residual)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.residual, want.residual)
+    assert np.array_equal(got.z, want.z)
+    assert (got.iterations, got.stop_reason, got.residual_norm) == (
+        want.iterations, want.stop_reason, want.residual_norm)
+
+
+def _rung_meshes(sol):
+    return [h.u.size - 1 for h in sol.history]
+
+
+def test_grid_sequencing_mesh_rule():
+    default = schedule_preset("default")
+    deep = ContinuationSchedule(tuple(st for st in default.states if st.p <= 1.0001))
+    assert solver._meshes(3999, default) == (3999,)
+    assert solver._meshes(4000, default) == (1000, 4000)
+    assert solver._meshes(20000, default) == (1250, 5000, 20000)
+    # a ladder with no rung on one side of p = 1.0001 climbs one mesh
+    assert solver._meshes(20000, schedule_preset("fast")) == (20000,)
+    assert solver._meshes(20000, deep) == (20000,)
+    dom = DomainSpec("ball", 1, 1.0)
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 2000))
+    assert _rung_meshes(sol) == [2000] * 13
+
+
+def test_sequenced_batch_matches_single_solves():
+    # at M = 4000 the ladder climbs M = 1000 first and the five rungs with
+    # p <= 1.0001 again at M; lam = 9 stalls at M = 1000 (rung 4), climbs the
+    # whole ladder again at M from zero and stalls there at rung 5
+    dom = DomainSpec("ball", 1, 1.0)
+    grid = RadialGrid.uniform(dom, 4000)
+    sched = schedule_preset("default")
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 9.0)]
+    done, stalled = continuation_solve(specs, sched, grid)
+    assert _rung_meshes(done) == [1000] * 13 + [4000] * 5
+    assert [h.state for h in done.history] == list(sched.states) + list(sched.states[8:])
+    assert isinstance(stalled, NonConvergence) and stalled.rung == 5
+    assert _rung_meshes(stalled.last) == [4000] * 6
+    # the fallback is the climb on the grid alone
+    alone = solver._climb((specs[1],), sched, grid, np.zeros((1, 4001)))[0]
+    assert alone.rung == stalled.rung
+    _assert_same_climb(stalled.last, alone.last)
+    for spec, got in zip(specs, (done, stalled)):
+        try:
+            want = continuation_solve(spec, sched, grid)
+        except NonConvergence as exc:
+            assert exc.rung == got.rung
+            got, want = got.last, exc.last
+        _assert_same_climb(got, want)
+
+
+@pytest.mark.parametrize("dim, lam", [(2, 4.0), (1, 6.0)])
+def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
+    # on the 20000-cell mesh alone these stall (dim 2 at rung 7, dim 1 at
+    # rung 4); climbed on 1250 and 5000 cells first, they converge
+    dom = DomainSpec("ball", dim, 1.0)
+    grid = RadialGrid.uniform(dom, 20000)
+    spec = ProblemSpec(dom, gamma=1.0, source=lam)
+    sol = continuation_solve(spec, schedule_preset("default"), grid)
+    assert _rung_meshes(sol) == [1250] * 13 + [5000] * 5 + [20000] * 5
+    assert verify(sol, spec, grid, Tolerances.for_solver()).passed
+    assert float(np.max(np.abs(sol.u - profile(dim, lam, grid.nodes)))) <= 5e-5
 
 
 @pytest.mark.parametrize("lam, mesh", [(4.0, 200), (14.0, 500)])
@@ -419,16 +481,38 @@ _ENVELOPE_M1000 = {
 }
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_envelope_m1000_keeps_its_certified_points(dim):
+# the points of the M = 4000 slice that must converge and pass verify, all
+# grid-sequenced; climbed on M = 4000 alone only 22 of them pass (dim 1: 1.1,
+# 2-6; dim 2: 2.2, 3-8; dim 3: 1.5, 3.3, 4-10).  The others stall (dim 1: 9,
+# 11; dim 2: 11, 12; dim 3: 12, 13) or fail the equation verdict (dim 1: 7)
+_ENVELOPE_M4000 = {
+    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 8, 10),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11),
+}
+
+
+def _certified(dim, mesh):
+    """The strengths of the envelope grid in dimension dim that converge and
+    pass verify on `mesh` cells, solved as one batch."""
     dom = DomainSpec("ball", dim, 1.0)
-    grid = RadialGrid.uniform(dom, 1000)
+    grid = RadialGrid.uniform(dom, mesh)
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in _envelope_strengths(dim)]
     certified = set()
     for spec, sol in zip(specs, continuation_solve(specs, schedule_preset("default"), grid)):
         if not isinstance(sol, Exception) and verify(sol, spec, grid, Tolerances.for_solver()).passed:
             certified.add(round(spec.source, 9))
-    assert certified >= set(_ENVELOPE_M1000[dim])
+    return certified
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m1000_keeps_its_certified_points(dim):
+    assert _certified(dim, 1000) >= set(_ENVELOPE_M1000[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m4000_keeps_its_certified_points(dim):
+    assert _certified(dim, 4000) >= set(_ENVELOPE_M4000[dim])
 
 
 def _tridiagonal(rng, m, pivoting):
