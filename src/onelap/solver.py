@@ -775,17 +775,24 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
 # the deep rungs, p <= _DEEP_P, carry boundary layers that need the full
 # mesh.  A mesh of M >= _SEQUENCE_FACTOR * _SEQUENCE_FLOOR cells climbs the
 # whole ladder on the coarsest of M, M // 4, M // 16, ... that keeps at least
-# _SEQUENCE_FLOOR cells, and each finer mesh re-solves only the deep tail
-# from the coarser end states.  Measured on 2 vCPUs: a traced solve-fine
-# benchmark pass spends 0.64 s in the continuation against 0.95 s on the
-# finest mesh alone, and the M = 4000 envelope slice certifies 32 points
-# against 22.  Factor 2 with a one-rung tail sent 8 strengths there back to
-# the full climb (5.4 s against 4.3 s for the slice); a floor of 250 would
-# sequence M = 1000 too, where dim 1 at lam = 8 falls back and the dim 1
-# sweep of the sweep-coarse benchmark slows from 0.27 to 0.48 s.
+# _SEQUENCE_FLOOR cells.  Each finer mesh solves only the last rung from the
+# coarser end states, in at most _NESTED_MAX_ITER Newton iterations, and a
+# strength that fails this climbs the deep tail from the same start.
+# Measured on 2 vCPUs: sequenced, the M = 4000 envelope slice certifies 32
+# points against 22 on M alone.  Factor 2 with a one-rung tail sent 8
+# strengths there back to the full climb (5.4 s against 4.3 s for the
+# slice); a floor of 250 would sequence M = 1000 too, where dim 1 at lam = 8
+# falls back and the dim 1 sweep of the sweep-coarse benchmark slows from
+# 0.27 to 0.48 s.  The last rung took 7-8 iterations on the finest meshes of
+# the solve-fine benchmark, where the tail takes about 50.  Uncapped, about
+# 30 % of the envelope attempts at M = 8000 and 20000 ran to max_iter (200),
+# and the M = 8000 slice (dims 1-3 batched) took 11.0-11.6 s against
+# 8.2-9.3 s with the cap of 20.  With the cap, every envelope slice
+# certifies the points that the tail alone does.
 _SEQUENCE_FACTOR = 4
 _SEQUENCE_FLOOR = 1000
 _DEEP_P = 1.0001
+_NESTED_MAX_ITER = 20
 
 
 def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
@@ -801,8 +808,9 @@ def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
 
 def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray) -> list:
     """Climb the schedule on one grid from the states u, shape (K, M+1),
-    which it overwrites, warm-starting each rung: one batched `newton_solve`
-    per rung.  Returns, in input order, each strength's final solution,
+    warm-starting each rung: one batched `newton_solve` per rung.  A row of
+    u is overwritten by each rung its strength converges, so a strength that
+    fails its first rung leaves its start in u.  Returns, in input order, each strength's final solution,
     whose `history` holds its rungs of this climb, or the NonConvergence,
     with its `rung` set and its `last.history` running through that rung,
     that stopped it."""
@@ -856,13 +864,17 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     On a fine grid the ladder is grid-sequenced (see `_meshes`): the
     coarsest mesh climbs the whole schedule, and each finer one, up to the
     grid's own, starts from the coarser end states, linearly interpolated
-    onto its nodes, and climbs only the rungs with p <= 1.0001.  `history`
-    then lists the coarse ladder, then each finer mesh's tail, the last
-    entry on the grid; a rung's mesh is `u.size - 1`.  A strength that
-    fails on any mesh climbs the whole schedule again on the grid from
-    zero, so a failure, its rung and its history are those of a climb on
-    the grid alone.  A ladder whose rungs all lie on one side of p = 1.0001,
-    and any grid under 4000 cells, climb one mesh.
+    onto its nodes, and solves only the schedule's last rung, with at most
+    20 Newton iterations (nested iteration).  A strength that fails this
+    attempt climbs the rungs with p <= 1.0001 on that mesh from the same
+    start.  `history` then lists the coarse ladder, then each finer mesh's
+    last rung or tail, the last entry on the grid; a rung's mesh is
+    `u.size - 1`.  A failed attempt leaves no rung, so its iterations are
+    in no `history` entry.  A strength that fails a tail climbs the whole
+    schedule again on the grid from zero, so a failure, its rung and its
+    history are those of a climb on the grid alone.  A ladder whose rungs
+    all lie on one side of p = 1.0001, and any grid under 4000 cells, climb
+    one mesh.
 
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb each mesh together, one batched `newton_solve` per rung, and the
@@ -875,6 +887,7 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     meshes = _meshes(grid.mesh_size, schedule)
     results = [None] * len(specs)
     if len(meshes) > 1:
+        last = replace(schedule, states=schedule.states[-1:], max_iter=min(schedule.max_iter, _NESTED_MAX_ITER))
         tail = replace(schedule, states=tuple(st for st in schedule.states if st.p <= _DEEP_P))
         rows = list(range(len(specs)))  # strengths still sequenced
         earlier = [() for _ in specs]  # their rungs on the coarser meshes
@@ -884,10 +897,17 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
             if not rows:
                 break
             fine = grid if m == grid.mesh_size else RadialGrid(grid.dim, grid.radius, m)
-            if coarse is not None:
+            if coarse is None:
+                out = _climb(tuple(specs[i] for i in rows), schedule, fine, u)
+            else:
                 u = np.array([np.interp(fine.nodes, coarse.nodes, v) for v in u])
                 u[:, -1] = 0.0  # the boundary node, exactly
-            out = _climb(tuple(specs[i] for i in rows), schedule if coarse is None else tail, fine, u)
+                out = _climb(tuple(specs[i] for i in rows), last, fine, u)
+                # a failed attempt left its start in u
+                retry = [j for j, sol in enumerate(out) if isinstance(sol, NonConvergence)]
+                if retry:
+                    for j, sol in zip(retry, _climb(tuple(specs[rows[j]] for j in retry), tail, fine, u[retry])):
+                        out[j] = sol
             kept = [j for j, sol in enumerate(out) if not isinstance(sol, NonConvergence)]
             for j in kept:
                 earlier[rows[j]] += out[j].history

@@ -1,5 +1,7 @@
 """Discretization, Newton iteration, and the continuation driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -367,16 +369,16 @@ def test_grid_sequencing_mesh_rule():
 
 
 def test_sequenced_batch_matches_single_solves():
-    # at M = 4000 the ladder climbs M = 1000 first and the five rungs with
-    # p <= 1.0001 again at M; lam = 9 stalls at M = 1000 (rung 4), climbs the
-    # whole ladder again at M from zero and stalls there at rung 5
+    # at M = 4000 the ladder climbs M = 1000 first and solves the last rung
+    # again at M; lam = 9 stalls at M = 1000 (rung 4), climbs the whole
+    # ladder again at M from zero and stalls there at rung 5
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 4000)
     sched = schedule_preset("default")
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 9.0)]
     done, stalled = continuation_solve(specs, sched, grid)
-    assert _rung_meshes(done) == [1000] * 13 + [4000] * 5
-    assert [h.state for h in done.history] == list(sched.states) + list(sched.states[8:])
+    assert _rung_meshes(done) == [1000] * 13 + [4000]
+    assert [h.state for h in done.history] == list(sched.states) + [sched.states[-1]]
     assert isinstance(stalled, NonConvergence) and stalled.rung == 5
     assert _rung_meshes(stalled.last) == [4000] * 6
     # the fallback is the climb on the grid alone
@@ -392,6 +394,15 @@ def test_sequenced_batch_matches_single_solves():
         _assert_same_climb(got, want)
 
 
+# the rungs each finer mesh keeps at M = 20000: dim 2 at lam = 4 solves the
+# last rung alone on 5000 and 20000 cells; dim 1 at lam = 6 fails that
+# attempt on both and climbs the five rungs with p <= 1.0001 instead
+_SEQUENCED_MESHES = {
+    (2, 4.0): [1250] * 13 + [5000] + [20000],
+    (1, 6.0): [1250] * 13 + [5000] * 5 + [20000] * 5,
+}
+
+
 @pytest.mark.parametrize("dim, lam", [(2, 4.0), (1, 6.0)])
 def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
     # on the 20000-cell mesh alone these stall (dim 2 at rung 7, dim 1 at
@@ -400,9 +411,62 @@ def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
     grid = RadialGrid.uniform(dom, 20000)
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
     sol = continuation_solve(spec, schedule_preset("default"), grid)
-    assert _rung_meshes(sol) == [1250] * 13 + [5000] * 5 + [20000] * 5
+    assert _rung_meshes(sol) == _SEQUENCED_MESHES[dim, lam]
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
     assert float(np.max(np.abs(sol.u - profile(dim, lam, grid.nodes)))) <= 5e-5
+
+
+@pytest.mark.parametrize("dim, lam", [(2, 4.0), (3, 5.0)])
+def test_nested_iteration_solves_only_the_last_rung_on_the_fine_mesh(dim, lam):
+    # the solve-fine tasks at M = 8000: 2000 cells climb the whole ladder,
+    # then 8000 cells solve the last rung alone from the interpolated end state
+    dom = DomainSpec("ball", dim, 1.0)
+    grid = RadialGrid.uniform(dom, 8000)
+    sched = schedule_preset("default")
+    spec = ProblemSpec(dom, gamma=1.0, source=lam)
+    sol = continuation_solve(spec, sched, grid)
+    assert _rung_meshes(sol) == [2000] * 13 + [8000]
+    assert sol.history[-1].state == sched.states[-1]
+    assert sol.history[-1].iterations <= solver._NESTED_MAX_ITER
+    assert verify(sol, spec, grid, Tolerances.for_solver()).passed
+
+
+def test_failed_nested_attempts_keep_the_tail_climb():
+    # dim 1 at lam = 6 fails the last-rung attempt on 5000 and on 20000
+    # cells; each mesh then climbs the deep tail from the interpolated start,
+    # bit for bit as if no attempt had run
+    dom = DomainSpec("ball", 1, 1.0)
+    grid = RadialGrid.uniform(dom, 20000)
+    sched = schedule_preset("default")
+    tail = ContinuationSchedule(sched.states[8:])
+    assert all(st.p <= 1.0001 for st in tail.states) and sched.states[7].p > 1.0001
+    spec = ProblemSpec(dom, gamma=1.0, source=6.0)
+    sol = continuation_solve(spec, sched, grid)
+    coarse = RadialGrid(1, 1.0, 1250)
+    want = solver._climb((spec,), sched, coarse, np.zeros((1, 1251)))[0]
+    history = want.history
+    for m in (5000, 20000):
+        fine = RadialGrid(1, 1.0, m)
+        start = np.interp(fine.nodes, coarse.nodes, want.u)
+        start[-1] = 0.0
+        want = solver._climb((spec,), tail, fine, start[None, :])[0]
+        history += want.history
+        coarse = fine
+    _assert_same_climb(sol, replace(want, history=history))
+
+
+def test_nested_and_retried_strengths_batch_like_single_solves():
+    # at M = 20000 lam = 2 keeps the last-rung attempts and lam = 6 retries
+    # the tail on both finer meshes; in one batch each equals its own solve
+    dom = DomainSpec("ball", 1, 1.0)
+    grid = RadialGrid.uniform(dom, 20000)
+    sched = schedule_preset("default")
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 6.0)]
+    batch = continuation_solve(specs, sched, grid)
+    assert [_rung_meshes(sol) for sol in batch] == [
+        [1250] * 13 + [5000] + [20000], [1250] * 13 + [5000] * 5 + [20000] * 5]
+    for spec, got in zip(specs, batch):
+        _assert_same_climb(got, continuation_solve(spec, sched, grid))
 
 
 @pytest.mark.parametrize("lam, mesh", [(4.0, 200), (14.0, 500)])
@@ -492,6 +556,17 @@ _ENVELOPE_M4000 = {
 }
 
 
+# the points of the M = 8000 slice that must converge and pass verify: 2000
+# cells climb the whole ladder, then 8000 cells solve the last rung alone or,
+# where that attempt fails, the five rungs with p <= 1.0001.  The others
+# stall (dim 1: 8-11; dim 2: 10-12; dim 3: 12)
+_ENVELOPE_M8000 = {
+    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 13),
+}
+
+
 def _certified(dim, mesh):
     """The strengths of the envelope grid in dimension dim that converge and
     pass verify on `mesh` cells, solved as one batch."""
@@ -513,6 +588,11 @@ def test_envelope_m1000_keeps_its_certified_points(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m4000_keeps_its_certified_points(dim):
     assert _certified(dim, 4000) >= set(_ENVELOPE_M4000[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m8000_keeps_its_certified_points(dim):
+    assert _certified(dim, 8000) >= set(_ENVELOPE_M8000[dim])
 
 
 def _tridiagonal(rng, m, pivoting):
