@@ -39,6 +39,7 @@ from .verify import (GridMismatch, Tolerances, VerificationReport,
                      pointwise_residual, sampled_explicit, verify)
 from .geometry import DomainSpec, cheeger_bounds, smallness_check, sobolev_constant_limit
 from .solver import (
+    DEFAULT_SCHEDULE,
     ContinuationSchedule,
     NonConvergence,
     ProblemSpec,
@@ -46,7 +47,6 @@ from .solver import (
     RegularizationState,
     continuation_solve,
     plateau_extent,
-    schedule_preset,
 )
 
 __all__ = ["main", "entry"]
@@ -78,7 +78,6 @@ def _build_parser():
     solve.add_argument("--gamma", type=float, default=1.0)
     solve.add_argument("--lambda", dest="lam", type=float, required=True, help="constant source strength")
     solve.add_argument("--mesh", type=int, default=1000)
-    solve.add_argument("--schedule", default="default", help="preset name: fast, default, tight")
     _add_common(solve)
 
     orc = subs.add_parser("oracle", help="sample a closed-form solution on a grid")
@@ -98,7 +97,6 @@ def _build_parser():
     sweep.add_argument("--lambdas", required=True, help="comma list or start:stop:step, e.g. 2:20:1")
     sweep.add_argument("--samples", type=int, default=401, help="points on the diameter [-1, 1], at least 2")
     sweep.add_argument("--mesh", type=int, default=2000)
-    sweep.add_argument("--schedule", default="default")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sweep)
 
@@ -163,7 +161,9 @@ def _typed(what: str, value, kind):
     return out
 
 
-# schedule knobs that `solve` and `sweep` take from a config file only
+# the subcommands that solve, and the schedule knobs they take from a
+# config file only; without `rungs` they climb DEFAULT_SCHEDULE
+_SCHEDULED = ("solve", "sweep")
 _KNOBS = (("newton_tol", float), ("step_tol", float), ("max_iter", int))
 
 
@@ -181,7 +181,7 @@ def _schedule_for(args) -> ContinuationSchedule:
             raise _CliError(f"config 'rungs' must be a list of [p, n, eps] triples, got {rungs!r}") from None
         states = tuple(RegularizationState(p=p, n=n, eps=e) for p, n, e in triples)
         return ContinuationSchedule(states, **knobs)
-    return replace(schedule_preset(args.schedule), **knobs)
+    return replace(DEFAULT_SCHEDULE, **knobs)
 
 
 def _report_payload(rep: VerificationReport) -> dict:
@@ -248,7 +248,7 @@ def cmd_solve(args) -> int:
     meta = {
         "generator": "solver",
         "schedule": {
-            "preset": "custom" if getattr(args, "rungs", None) else args.schedule,
+            "preset": "custom" if getattr(args, "rungs", None) else "default",
             "rungs": [[s.p, s.n, s.eps] for s in schedule.states],
         },
         "converged": sol.converged,
@@ -428,13 +428,12 @@ def _emit_record(args, payload: dict, csv_fields, default_name: str) -> int:
 _CONFIG_KINDS = {int: (int,), float: (int, float)}
 
 
-def _check_config(sub, cfg: dict, path) -> None:
+def _check_config(command: str, sub, cfg: dict, path) -> None:
     """Reject a config key that names no flag of the subcommand (nor a
-    schedule knob, for the subcommands that take a schedule) and a value
-    that its flag cannot take, before either reaches the code behind the
-    flag."""
+    schedule knob, for the subcommands that solve) and a value that its
+    flag cannot take, before either reaches the code behind the flag."""
     keys = {action.dest for action in sub._actions if action.dest != "help"}
-    if "schedule" in keys:
+    if command in _SCHEDULED:
         keys.update(["rungs"] + [k for k, _ in _KNOBS])
     for key in cfg:
         if key not in keys:
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
             cfg = io.read_json(args.config)
             if not isinstance(cfg, dict):
                 raise _CliError(f"{args.config}: config must be a JSON object")
-            _check_config(subs[args.command], cfg, args.config)
+            _check_config(args.command, subs[args.command], cfg, args.config)
             subs[args.command].set_defaults(**cfg)
             args = ap.parse_args(argv)  # explicit flags still win
         return _DISPATCH[args.command](args)

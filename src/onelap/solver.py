@@ -55,7 +55,7 @@ __all__ = [
     "plateau_extent",
     "gradient_mass",
     "apriori_bounds_report",
-    "schedule_preset",
+    "DEFAULT_SCHEDULE",
 ]
 
 SourceTerm = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -810,10 +810,10 @@ def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np
     """Climb the schedule on one grid from the states u, shape (K, M+1),
     warm-starting each rung: one batched `newton_solve` per rung.  A row of
     u is overwritten by each rung its strength converges, so a strength that
-    fails its first rung leaves its start in u.  Returns, in input order, each strength's final solution,
-    whose `history` holds its rungs of this climb, or the NonConvergence,
-    with its `rung` set and its `last.history` running through that rung,
-    that stopped it."""
+    fails its first rung leaves its start in u.  Returns, in input order,
+    each strength's final solution, whose `history` holds its rungs of this
+    climb, or the NonConvergence, with its `rung` set and its `last.history`
+    running through that rung, that stopped it."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
@@ -968,46 +968,22 @@ def apriori_bounds_report(
     )
 
 
-_PRESET_P = {
-    "fast": (1.5, 1.2, 1.05, 1.01, 1.003, 1.001),
-    "default": (
-        1.5,
-        1.3,
-        1.1,
-        1.05,
-        1.01,
-        1.003,
-        1.001,
-        1.0003,
-        1.0001,
-        1.00003,
-        1.00001,
-        1.000003,
-        1.000001,
-    ),
-}
-_PRESET_P["tight"] = _PRESET_P["default"] + (1.0000003, 1.0000001)
-
-
-def schedule_preset(name: str) -> ContinuationSchedule:
-    """Named continuation ladders.  n grows by decades from 100 up to 1e6;
-    eps follows (p-1)^2 clamped into [1e-8, 1e-3].  The deep tail of the
-    default ladder is what collapses boundary layers of width (p-1) below
-    mesh resolution, which the rigidity and plateau tests rely on; the eps
-    floor keeps plateau slopes two decades under the slope floor used for
-    plateau detection while staying coarse enough that float64 can still
-    resolve the plateau flux profile."""
-    try:
-        ps = _PRESET_P[name]
-    except KeyError:
-        raise ValueError(f"unknown schedule preset {name!r}") from None
-    states = tuple(
+# The continuation ladder: p falls to 1.000001 over 13 rungs, n grows by
+# decades from 100 up to 1e6, and eps follows (p-1)^2 clamped into
+# [1e-8, 1e-3].  The deep tail is what collapses boundary layers of width
+# (p-1) below mesh resolution, which the rigidity and plateau tests rely on;
+# the eps floor keeps plateau slopes two decades under the slope floor used
+# for plateau detection while staying coarse enough that float64 can still
+# resolve the plateau flux profile.
+DEFAULT_SCHEDULE = ContinuationSchedule(
+    tuple(
         RegularizationState(
             p=p,
             n=min(100 * 10**k, 1_000_000),
             eps=min(max((p - 1.0) ** 2, 1e-8), 1e-3),
         )
-        for k, p in enumerate(ps)
+        for k, p in enumerate(
+            (1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001, 1.00003, 1.00001, 1.000003, 1.000001)
+        )
     )
-    return ContinuationSchedule(states=states)
-
+)

@@ -21,7 +21,7 @@ from pytest import approx
 
 from onelap import cli, io, solver
 from onelap.geometry import DomainSpec
-from onelap.solver import ProblemSpec, RadialGrid, continuation_solve, schedule_preset
+from onelap.solver import DEFAULT_SCHEDULE, ProblemSpec, RadialGrid, continuation_solve
 from onelap.verify import Tolerances, verify
 
 
@@ -390,7 +390,7 @@ def test_sweep_solver_batch_matches_single_solves(tmp_path):
     r = np.abs(table["x"])
     for lam in (1.5, 3.0, 5.0, 7.0):
         spec = ProblemSpec(domain, gamma=1.0, source=lam)
-        sol = continuation_solve(spec, schedule_preset("default"), grid)
+        sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
         assert np.array_equal(table[f"u_lam{lam:g}"], np.interp(r, grid.nodes, sol.u))
         assert np.array_equal(table[f"res_lam{lam:g}"], np.interp(r, grid.nodes, np.append(sol.residual, 0.0)))
         want = io.write_json(tmp_path / "want.json", cli._report_payload(verify(sol, spec, grid, Tolerances.for_solver())))
@@ -423,7 +423,7 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     assert all(r["stop_reason"] in ("residual", "float_floor", "stagnation") for r in rungs[:-1])
     last = rungs[-1]
     assert last["stop_reason"] == meta["stop_reason"] == "stalled"
-    assert last["iterations"] == schedule_preset("default").max_iter
+    assert last["iterations"] == DEFAULT_SCHEDULE.max_iter
     written = rungs[-2]
     assert written["residual_norm"] == meta["residual_norm"] < last["residual_norm"]
     rec = io.read_solution(tmp_path / "stall")
@@ -434,7 +434,7 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     # each rung's kernel evaluations, as the solver counted them, and the
     # arrays of the last converged rung
     with pytest.raises(solver.NonConvergence) as exc:
-        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), schedule_preset("default"), grid)
+        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), DEFAULT_SCHEDULE, grid)
     history = exc.value.last.history
     assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in history]
     assert rec.u.tobytes() == history[-2].u.tobytes()
@@ -505,7 +505,7 @@ def test_solve_singular_at_a_later_rung_writes_the_rung_before(tmp_path, capsys,
     assert (meta["stop_reason"], meta["converged"], meta["failed_rung"]) == ("singular", False, 2)
     assert [r["stop_reason"] for r in meta["rungs"]][2:] == ["singular"]
     with pytest.raises(solver.NonConvergence) as exc:
-        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0), schedule_preset("default"),
+        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0), DEFAULT_SCHEDULE,
                            RadialGrid.uniform(DomainSpec("interval", 1), 100))
     history = exc.value.last.history
     assert [h.stop_reason for h in history][2:] == ["singular"] and history[2].iterations == 0
@@ -622,6 +622,7 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     (["cheeger"], {"format": "xml"}, "config 'format' must be one of ['csv', 'json'], got 'xml'"),
     (["sweep", "--lambdas", "4"], {"mode": "solverr"}, "config 'mode' must be one of ['oracle', 'solver'], got 'solverr'"),
     (["cheeger"], [1, 2], "config must be a JSON object"),
+    (["solve", "--lambda", "4"], {"schedule": "fast"}, "schedule"),  # no preset is named by config
 ])
 def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     # a key that names no flag of the subcommand, nor a schedule knob of
@@ -650,6 +651,7 @@ def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     (["solve", "--lambda", "4", "--mesh", "64"], {"gamma": math.inf}),
     (["solve", "--lambda", "4", "--mesh", "64"], {"rungs": [[math.inf, 100, 1e-3]]}),
     (["oracle", "--lambda", "inf", "--mesh", "64"], None),
+    (["solve", "--lambda", "4", "--schedule", "default"], None),  # no preset is named by flag
 ])
 def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     # JSON's Infinity reaches the code like the flag text "inf": both exit 1
@@ -731,7 +733,7 @@ runs = [
 for argv in runs:
     assert cli.main(argv) == 0, argv
 before = "scipy.linalg" in sys.modules
-cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "64", "--schedule", "fast"])
+cli.main(["solve", "--domain", "interval", "--lambda", "4", "--mesh", "64"])
 print("scipy.linalg loaded before and after a solve:", before, "scipy.linalg" in sys.modules)
 print("scipy.linalg modules after a solve:", sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
 """

@@ -8,6 +8,7 @@ import pytest
 from onelap import solver
 from onelap.oracle import profile
 from onelap.solver import (
+    DEFAULT_SCHEDULE,
     ContinuationSchedule,
     DomainSpec,
     NonConvergence,
@@ -22,7 +23,6 @@ from onelap.solver import (
     newton_solve,
     plateau_extent,
     reconstruct_flux,
-    schedule_preset,
 )
 from onelap.verify import Tolerances, verify
 
@@ -114,17 +114,16 @@ def test_schedule_validation():
     assert ContinuationSchedule((good,), step_tol=0.0, max_iter=1).step_tol == 0.0
 
 
-def test_schedule_presets():
-    sched = schedule_preset("default")
-    ps = [st.p for st in sched.states]
-    assert len(ps) == 13
-    assert ps[0] == 1.5 and ps[-1] == 1.000001
-    assert all(b < a for a, b in zip(ps, ps[1:]))
-    assert all(st.eps >= 1e-8 for st in sched.states)
-    assert len(schedule_preset("tight").states) == 15
-    assert len(schedule_preset("fast").states) < 13
-    with pytest.raises(ValueError):
-        schedule_preset("bogus")
+def test_default_schedule():
+    # the one ladder: its rungs are written into every solve bundle, so they
+    # are pinned exactly
+    states = DEFAULT_SCHEDULE.states
+    assert [st.p for st in states] == [1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001,
+                                       1.00003, 1.00001, 1.000003, 1.000001]
+    assert [st.n for st in states] == [100, 1000, 10_000, 100_000] + [1_000_000] * 9
+    assert [st.eps for st in states] == [min(max((st.p - 1.0) ** 2, 1e-8), 1e-3) for st in states]
+    assert states[0].eps == 1e-3 and states[-1].eps == 1e-8
+    assert (DEFAULT_SCHEDULE.newton_tol, DEFAULT_SCHEDULE.step_tol, DEFAULT_SCHEDULE.max_iter) == (1e-9, 1e-12, 200)
 
 
 # -------------------------------------------------------------- residual
@@ -267,26 +266,24 @@ def test_continuation_attaches_failing_rung():
     assert info.value.last is not None and not info.value.last.converged
 
 
-def test_continuation_history_and_fast_preset():
+def test_continuation_history_and_plateau():
     grid = RadialGrid.uniform(INTERVAL, 400)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    schedule = schedule_preset("fast")
-    sol = continuation_solve(spec, schedule, grid)
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
     assert sol.converged
-    assert len(sol.history) == len(schedule.states)
-    assert [h.state for h in sol.history] == list(schedule.states)
+    assert [h.state for h in sol.history] == list(DEFAULT_SCHEDULE.states)
     sups = [float(np.max(np.abs(h.u))) for h in sol.history]
     assert sups[-1] == pytest.approx(float(np.max(sol.u)), rel=1e-12)
-    # the quick-look preset stops at eps = 1e-6, where the slope-floor
-    # detector still underestimates the flat core; only the height is firm
     assert sups[-1] == pytest.approx(1.0 - np.exp(-3.0), abs=5e-3)
-    assert 0.0 <= plateau_extent(grid, sol.history[-1].u) <= 0.26
+    # at the ladder's end, eps = 1e-8, the flat core reaches the plateau
+    # radius N/lam = 0.25 of the closed form
+    assert plateau_extent(grid, sol.history[-1].u) == pytest.approx(0.25, abs=1.5 * grid.spacing)
 
 
 def test_trivial_regime_collapses_to_dust():
     grid = RadialGrid.uniform(INTERVAL, 500)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=0.5)
-    sol = continuation_solve(spec, schedule_preset("default"), grid)
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
     assert float(np.max(np.abs(sol.u))) <= 1e-6
     assert plateau_extent(grid, sol.history[-1].u) == 1.0
 
@@ -313,7 +310,7 @@ def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
     # own solve, the stalled one included
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, mesh)
-    sched = schedule_preset("default")
+    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in lams]
     batch = continuation_solve(specs, sched, grid)
     assert len(batch) == len(specs)
@@ -355,13 +352,14 @@ def _rung_meshes(sol):
 
 
 def test_grid_sequencing_mesh_rule():
-    default = schedule_preset("default")
+    default = DEFAULT_SCHEDULE
+    shallow = ContinuationSchedule(tuple(st for st in default.states if st.p > 1.0001))
     deep = ContinuationSchedule(tuple(st for st in default.states if st.p <= 1.0001))
     assert solver._meshes(3999, default) == (3999,)
     assert solver._meshes(4000, default) == (1000, 4000)
     assert solver._meshes(20000, default) == (1250, 5000, 20000)
-    # a ladder with no rung on one side of p = 1.0001 climbs one mesh
-    assert solver._meshes(20000, schedule_preset("fast")) == (20000,)
+    # a custom ladder with no rung on one side of p = 1.0001 climbs one mesh
+    assert solver._meshes(20000, shallow) == (20000,)
     assert solver._meshes(20000, deep) == (20000,)
     dom = DomainSpec("ball", 1, 1.0)
     sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 2000))
@@ -374,7 +372,7 @@ def test_sequenced_batch_matches_single_solves():
     # ladder again at M from zero and stalls there at rung 5
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 4000)
-    sched = schedule_preset("default")
+    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 9.0)]
     done, stalled = continuation_solve(specs, sched, grid)
     assert _rung_meshes(done) == [1000] * 13 + [4000]
@@ -394,6 +392,20 @@ def test_sequenced_batch_matches_single_solves():
         _assert_same_climb(got, want)
 
 
+def test_whole_ladder_fallback_rescues_a_coarse_stall():
+    # in the ball of radius 2 (Cheeger constant 1.5), dim 3 at lam = 6.5
+    # stalls at rung 2 on the 1000-cell coarse mesh of M = 4000; the whole
+    # ladder, climbed again on the 4000 cells from zero, converges and passes
+    dom = DomainSpec("ball", 3, 2.0)
+    grid = RadialGrid.uniform(dom, 4000)
+    spec = ProblemSpec(dom, gamma=1.0, source=6.5)
+    coarse = solver._climb((spec,), DEFAULT_SCHEDULE, RadialGrid(3, 2.0, 1000), np.zeros((1, 1001)))[0]
+    assert isinstance(coarse, NonConvergence) and coarse.rung == 2
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    assert _rung_meshes(sol) == [4000] * 13
+    assert verify(sol, spec, grid, Tolerances.for_solver()).passed
+
+
 # the rungs each finer mesh keeps at M = 20000: dim 2 at lam = 4 solves the
 # last rung alone on 5000 and 20000 cells; dim 1 at lam = 6 fails that
 # attempt on both and climbs the five rungs with p <= 1.0001 instead
@@ -410,7 +422,7 @@ def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
-    sol = continuation_solve(spec, schedule_preset("default"), grid)
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
     assert _rung_meshes(sol) == _SEQUENCED_MESHES[dim, lam]
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
     assert float(np.max(np.abs(sol.u - profile(dim, lam, grid.nodes)))) <= 5e-5
@@ -422,7 +434,7 @@ def test_nested_iteration_solves_only_the_last_rung_on_the_fine_mesh(dim, lam):
     # then 8000 cells solve the last rung alone from the interpolated end state
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 8000)
-    sched = schedule_preset("default")
+    sched = DEFAULT_SCHEDULE
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
     sol = continuation_solve(spec, sched, grid)
     assert _rung_meshes(sol) == [2000] * 13 + [8000]
@@ -437,7 +449,7 @@ def test_failed_nested_attempts_keep_the_tail_climb():
     # bit for bit as if no attempt had run
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
-    sched = schedule_preset("default")
+    sched = DEFAULT_SCHEDULE
     tail = ContinuationSchedule(sched.states[8:])
     assert all(st.p <= 1.0001 for st in tail.states) and sched.states[7].p > 1.0001
     spec = ProblemSpec(dom, gamma=1.0, source=6.0)
@@ -460,7 +472,7 @@ def test_nested_and_retried_strengths_batch_like_single_solves():
     # the tail on both finer meshes; in one batch each equals its own solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
-    sched = schedule_preset("default")
+    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 6.0)]
     batch = continuation_solve(specs, sched, grid)
     assert [_rung_meshes(sol) for sol in batch] == [
@@ -483,7 +495,7 @@ def test_residual_evals_count_every_kernel_evaluation(monkeypatch, lam, mesh):
     monkeypatch.setattr(solver._Pieces, "evaluate", counted)
     dom = DomainSpec("ball", 1, 1.0)
     try:
-        sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=lam), schedule_preset("default"),
+        sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=lam), DEFAULT_SCHEDULE,
                                  RadialGrid.uniform(dom, mesh))
     except NonConvergence as exc:
         sol = exc.last
@@ -512,7 +524,7 @@ def test_newton_calls_the_assembly_through_the_module(monkeypatch):
 
     counted("assemble_residual")
     counted("assemble_system")
-    sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), schedule_preset("default"),
+    sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), DEFAULT_SCHEDULE,
                              RadialGrid.uniform(INTERVAL, 200))
     assert {h.stop_reason for h in sol.history} == {"residual", "stagnation", "float_floor"}
     assert calls["assemble_residual"] == sum(h.residual_evals - 1 for h in sol.history) == 168
@@ -523,7 +535,7 @@ def test_line_search_starts_from_the_last_accepted_step():
     # dim 1 at lam = 8 crawls at alpha ~ 2^-15 on its deep rungs; restarting
     # every search at alpha = 1 cost about six kernel evaluations per step
     dom = DomainSpec("ball", 1, 1.0)
-    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=8.0), schedule_preset("default"),
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=8.0), DEFAULT_SCHEDULE,
                              RadialGrid.uniform(dom, 1000))
     iterations = sum(h.iterations for h in sol.history)
     assert sum(h.residual_evals for h in sol.history) <= 2 * iterations
@@ -574,7 +586,7 @@ def _certified(dim, mesh):
     grid = RadialGrid.uniform(dom, mesh)
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in _envelope_strengths(dim)]
     certified = set()
-    for spec, sol in zip(specs, continuation_solve(specs, schedule_preset("default"), grid)):
+    for spec, sol in zip(specs, continuation_solve(specs, DEFAULT_SCHEDULE, grid)):
         if not isinstance(sol, Exception) and verify(sol, spec, grid, Tolerances.for_solver()).passed:
             certified.add(round(spec.source, 9))
     return certified
@@ -775,9 +787,13 @@ def test_batch_rejects_mixed_exponents_and_bad_shapes():
 
 
 def test_solve_problem_front_door():
+    # one ProblemSpec in, one solution out: the K = 1 batch, unwrapped
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, schedule_preset("fast"), RadialGrid.uniform(INTERVAL, 400))
+    grid = RadialGrid.uniform(INTERVAL, 200)
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
     assert sol.converged and 0.9 < float(np.max(sol.u)) < 1.0
+    (batched,) = continuation_solve([spec], DEFAULT_SCHEDULE, grid)
+    _assert_same_climb(sol, batched)
 
 
 # ------------------------------------------------------------ diagnostics
