@@ -615,6 +615,7 @@ def newton_solve(
     tol: float = ContinuationSchedule.newton_tol,
     step_tol: float = ContinuationSchedule.step_tol,
     max_iter: int = ContinuationSchedule.max_iter,
+    max_trials: int = 50,
 ):
     """Damped Newton on the rung equations from the iterate u0.
 
@@ -626,12 +627,13 @@ def newton_solve(
     allowance-weighted residual 2-norm; the weighting keeps plateau
     quantization noise at O(1) per row so progress on the few genuinely
     unconverged rows stays visible.  Each search halves alpha from its
-    start for at most 50 trials, and a dead end stalls the strength.  The
-    start is not always 1: a strength remembers the alpha it last accepted
-    in this call, and its next search starts at min(1, 2 alpha), so a
-    strength crawling at alpha ~ 2^-15 does not pay 15 rejected trials per
-    step (damping-factor prediction, Deuflhard 2004, sec. 3.1).  The memory
-    starts at 1 on every call, that is on every rung.  `residual_evals`
+    start for at most max_trials trials (default 50), and a dead end stalls
+    the strength.  The start is not always 1: a strength remembers the alpha
+    it last accepted in this call, and its next search starts at
+    min(1, 2 alpha), so a strength crawling at alpha ~ 2^-15 does not pay
+    15 rejected trials per step (damping-factor prediction, Deuflhard 2004,
+    sec. 3.1).  The memory starts at 1 on every call, that is on every
+    rung.  `residual_evals`
     counts the strength's first evaluation plus every trial it took part in.
 
     A strength fails its rung when it runs out of iterations or meets a line
@@ -719,7 +721,7 @@ def newton_solve(
         alpha = np.minimum(1.0, 2.0 * last_alpha[pieces.rows])
         accepted = np.zeros(pieces.rows.size, dtype=bool)
         pos = np.arange(pieces.rows.size)
-        for _ in range(50):
+        for _ in range(max_trials):
             trial = pieces.u[pos]
             trial[:, :m] += alpha[:, None] * step
             tried = _Pieces(pieces.rung, pieces.rows[pos], pieces.source[pos])
@@ -778,21 +780,38 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
 # _SEQUENCE_FLOOR cells.  Each finer mesh solves only the last rung from the
 # coarser end states, in at most _NESTED_MAX_ITER Newton iterations, and a
 # strength that fails this climbs the deep tail from the same start.
-# Measured on 2 vCPUs: sequenced, the M = 4000 envelope slice certifies 32
-# points against 22 on M alone.  Factor 2 with a one-rung tail sent 8
-# strengths there back to the full climb (5.4 s against 4.3 s for the
-# slice); a floor of 250 would sequence M = 1000 too, where dim 1 at lam = 8
-# falls back and the dim 1 sweep of the sweep-coarse benchmark slows from
-# 0.27 to 0.48 s.  The last rung took 7-8 iterations on the finest meshes of
-# the solve-fine benchmark, where the tail takes about 50.  Uncapped, about
-# 30 % of the envelope attempts at M = 8000 and 20000 ran to max_iter (200),
-# and the M = 8000 slice (dims 1-3 batched) took 11.0-11.6 s against
-# 8.2-9.3 s with the cap of 20.  With the cap, every envelope slice
-# certifies the points that the tail alone does.
+# The attempt's line searches take at most _NESTED_MAX_TRIALS trials, so a
+# start far outside Newton's basin stalls at its first iteration instead of
+# crawling through _NESTED_MAX_ITER of them (a damping-factor floor,
+# Deuflhard 2004, sec. 3.1).  Measured on 2 vCPUs, on the unit-ball
+# envelope slices (dims 1-3 batched):
+# - sequenced, the M = 4000 slice certifies 32 points against 22 on M alone;
+#   factor 2 with a one-rung tail sent 8 strengths there back to the full
+#   climb (5.4 s against 4.3 s for the slice);
+# - a floor of 300 instead of 1000 sequences every M >= 1200 and climbs
+#   M = 2000 and 8000 on 500 cells, M = 20000 on 312; those slices certify
+#   36, 38 and 36 points instead of 29, 31 and 32, in 1.1, 2.4 and 6.8 s
+#   of CPU instead of 2.4, 8.1 and 10.8 s.  A floor of 250 would sequence
+#   M = 1000 and 4000 on 250 cells, where 5 of the 7 strengths of the
+#   sweep-coarse benchmark's dim 1 sweep that converge fail the 1000-cell
+#   attempt (that solve slows from 218 to 296 ms), and M = 4000 loses
+#   dim 1 at lam = 8 and 10;
+# - of the 258 attempts of the slices at M = 2000, 4000, 8000 and 20000,
+#   154 succeed with 50 trials, 153 with 8, 151 with 6 and 148 with 4; the
+#   certified points are the same 142 with each, and the four slices take
+#   13.8 s with 8 trials against 17.4 s with 50.  With 50, every attempt
+#   that succeeds accepts alpha >= 1/8 at its first step, and 8 of the 104
+#   that fail take 9-12 trials there (interval lam = 4 at M = 20000 does
+#   on 5000 cells, then spends all 20 iterations at max residual 12.3);
+# - the last rung took 7-8 iterations on the finest meshes of the
+#   solve-fine benchmark, where the tail takes about 50.  Without the cap
+#   of 20 iterations, about 30 % of the envelope attempts at M = 8000 and
+#   20000 ran to max_iter (200).
 _SEQUENCE_FACTOR = 4
-_SEQUENCE_FLOOR = 1000
+_SEQUENCE_FLOOR = 300
 _DEEP_P = 1.0001
 _NESTED_MAX_ITER = 20
+_NESTED_MAX_TRIALS = 8
 
 
 def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
@@ -806,9 +825,11 @@ def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
     return tuple(reversed(meshes))
 
 
-def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray) -> list:
+def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray,
+           max_trials: int = 50) -> list:
     """Climb the schedule on one grid from the states u, shape (K, M+1),
-    warm-starting each rung: one batched `newton_solve` per rung.  A row of
+    warm-starting each rung: one batched `newton_solve` per rung, whose line
+    searches take at most max_trials trials.  A row of
     u is overwritten by each rung its strength converges, so a strength that
     fails its first rung leaves its start in u.  Returns, in input order,
     each strength's final solution, whose `history` holds its rungs of this
@@ -836,6 +857,7 @@ def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np
             tol=schedule.newton_tol,
             step_tol=schedule.step_tol,
             max_iter=schedule.max_iter,
+            max_trials=max_trials,
         )
         climbing = []
         for i, sol in zip(rows, batch.results):
@@ -865,16 +887,16 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     coarsest mesh climbs the whole schedule, and each finer one, up to the
     grid's own, starts from the coarser end states, linearly interpolated
     onto its nodes, and solves only the schedule's last rung, with at most
-    20 Newton iterations (nested iteration).  A strength that fails this
-    attempt climbs the rungs with p <= 1.0001 on that mesh from the same
-    start.  `history` then lists the coarse ladder, then each finer mesh's
-    last rung or tail, the last entry on the grid; a rung's mesh is
-    `u.size - 1`.  A failed attempt leaves no rung, so its iterations are
-    in no `history` entry.  A strength that fails a tail climbs the whole
-    schedule again on the grid from zero, so a failure, its rung and its
-    history are those of a climb on the grid alone.  A ladder whose rungs
-    all lie on one side of p = 1.0001, and any grid under 4000 cells, climb
-    one mesh.
+    20 Newton iterations and line searches of at most 8 trials (nested
+    iteration).  A strength that fails this attempt climbs the rungs with
+    p <= 1.0001 on that mesh from the same start.  `history` then lists the
+    coarse ladder, then each finer mesh's last rung or tail, the last entry
+    on the grid; a rung's mesh is `u.size - 1`.  A failed attempt leaves no
+    rung, so its iterations are in no `history` entry.  A strength that
+    fails a tail climbs the whole schedule again on the grid from zero, so
+    a failure, its rung and its history are those of a climb on the grid
+    alone.  A ladder whose rungs all lie on one side of p = 1.0001, and any
+    grid under 1200 cells, climb one mesh.
 
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb each mesh together, one batched `newton_solve` per rung, and the
@@ -902,7 +924,7 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
             else:
                 u = np.array([np.interp(fine.nodes, coarse.nodes, v) for v in u])
                 u[:, -1] = 0.0  # the boundary node, exactly
-                out = _climb(tuple(specs[i] for i in rows), last, fine, u)
+                out = _climb(tuple(specs[i] for i in rows), last, fine, u, _NESTED_MAX_TRIALS)
                 # a failed attempt left its start in u
                 retry = [j for j, sol in enumerate(out) if isinstance(sol, NonConvergence)]
                 if retry:

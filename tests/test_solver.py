@@ -355,15 +355,19 @@ def test_grid_sequencing_mesh_rule():
     default = DEFAULT_SCHEDULE
     shallow = ContinuationSchedule(tuple(st for st in default.states if st.p > 1.0001))
     deep = ContinuationSchedule(tuple(st for st in default.states if st.p <= 1.0001))
-    assert solver._meshes(3999, default) == (3999,)
+    assert solver._meshes(1199, default) == (1199,)
+    assert solver._meshes(1200, default) == (300, 1200)
+    assert solver._meshes(3999, default) == (999, 3999)
     assert solver._meshes(4000, default) == (1000, 4000)
-    assert solver._meshes(20000, default) == (1250, 5000, 20000)
+    assert solver._meshes(20000, default) == (312, 1250, 5000, 20000)
     # a custom ladder with no rung on one side of p = 1.0001 climbs one mesh
     assert solver._meshes(20000, shallow) == (20000,)
     assert solver._meshes(20000, deep) == (20000,)
     dom = DomainSpec("ball", 1, 1.0)
     sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 2000))
-    assert _rung_meshes(sol) == [2000] * 13
+    assert _rung_meshes(sol) == [500] * 13 + [2000]
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 1000))
+    assert _rung_meshes(sol) == [1000] * 13
 
 
 def test_sequenced_batch_matches_single_solves():
@@ -407,18 +411,19 @@ def test_whole_ladder_fallback_rescues_a_coarse_stall():
 
 
 # the rungs each finer mesh keeps at M = 20000: dim 2 at lam = 4 solves the
-# last rung alone on 5000 and 20000 cells; dim 1 at lam = 6 fails that
-# attempt on both and climbs the five rungs with p <= 1.0001 instead
+# last rung alone on 1250, 5000 and 20000 cells; dim 1 at lam = 6 does so on
+# 1250 cells, fails that attempt on 5000 and 20000 and climbs the five rungs
+# with p <= 1.0001 there instead
 _SEQUENCED_MESHES = {
-    (2, 4.0): [1250] * 13 + [5000] + [20000],
-    (1, 6.0): [1250] * 13 + [5000] * 5 + [20000] * 5,
+    (2, 4.0): [312] * 13 + [1250] + [5000] + [20000],
+    (1, 6.0): [312] * 13 + [1250] + [5000] * 5 + [20000] * 5,
 }
 
 
 @pytest.mark.parametrize("dim, lam", [(2, 4.0), (1, 6.0)])
 def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
     # on the 20000-cell mesh alone these stall (dim 2 at rung 7, dim 1 at
-    # rung 4); climbed on 1250 and 5000 cells first, they converge
+    # rung 4); climbed on 312, 1250 and 5000 cells first, they converge
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
@@ -430,53 +435,92 @@ def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
 
 @pytest.mark.parametrize("dim, lam", [(2, 4.0), (3, 5.0)])
 def test_nested_iteration_solves_only_the_last_rung_on_the_fine_mesh(dim, lam):
-    # the solve-fine tasks at M = 8000: 2000 cells climb the whole ladder,
-    # then 8000 cells solve the last rung alone from the interpolated end state
+    # the solve-fine tasks at M = 8000: 500 cells climb the whole ladder,
+    # then 2000 and 8000 cells each solve the last rung alone from the
+    # interpolated end state
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 8000)
     sched = DEFAULT_SCHEDULE
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
     sol = continuation_solve(spec, sched, grid)
-    assert _rung_meshes(sol) == [2000] * 13 + [8000]
-    assert sol.history[-1].state == sched.states[-1]
-    assert sol.history[-1].iterations <= solver._NESTED_MAX_ITER
+    assert _rung_meshes(sol) == [500] * 13 + [2000] + [8000]
+    assert [h.state for h in sol.history[-2:]] == [sched.states[-1]] * 2
+    assert all(h.iterations <= solver._NESTED_MAX_ITER for h in sol.history[-2:])
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
 
 
+def _sequenced_start(coarse, fine, u):
+    """A coarse end state interpolated onto the finer grid, as a (1, M+1)
+    start with the boundary node exactly 0."""
+    start = np.interp(fine.nodes, coarse.nodes, u)
+    start[-1] = 0.0
+    return start[None, :]
+
+
 def test_failed_nested_attempts_keep_the_tail_climb():
-    # dim 1 at lam = 6 fails the last-rung attempt on 5000 and on 20000
-    # cells; each mesh then climbs the deep tail from the interpolated start,
-    # bit for bit as if no attempt had run
+    # dim 1 at lam = 6 keeps the last-rung attempt on 1250 cells and fails it
+    # on 5000 and on 20000 cells; each of these then climbs the deep tail
+    # from the interpolated start, bit for bit as if no attempt had run
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     sched = DEFAULT_SCHEDULE
+    last = replace(sched, states=sched.states[-1:], max_iter=solver._NESTED_MAX_ITER)
     tail = ContinuationSchedule(sched.states[8:])
     assert all(st.p <= 1.0001 for st in tail.states) and sched.states[7].p > 1.0001
     spec = ProblemSpec(dom, gamma=1.0, source=6.0)
     sol = continuation_solve(spec, sched, grid)
-    coarse = RadialGrid(1, 1.0, 1250)
-    want = solver._climb((spec,), sched, coarse, np.zeros((1, 1251)))[0]
+    coarse = RadialGrid(1, 1.0, 312)
+    want = solver._climb((spec,), sched, coarse, np.zeros((1, 313)))[0]
     history = want.history
-    for m in (5000, 20000):
+    for m, rungs, trials in ((1250, last, solver._NESTED_MAX_TRIALS), (5000, tail, 50), (20000, tail, 50)):
         fine = RadialGrid(1, 1.0, m)
-        start = np.interp(fine.nodes, coarse.nodes, want.u)
-        start[-1] = 0.0
-        want = solver._climb((spec,), tail, fine, start[None, :])[0]
+        want = solver._climb((spec,), rungs, fine, _sequenced_start(coarse, fine, want.u), trials)[0]
         history += want.history
         coarse = fine
     _assert_same_climb(sol, replace(want, history=history))
 
 
+def test_nested_attempt_outside_the_basin_stalls_at_its_first_step(monkeypatch):
+    # interval lam = 4 at M = 20000 starts the 5000-cell last rung outside
+    # Newton's basin: its first line search finds no decrease within
+    # _NESTED_MAX_TRIALS trials, so the attempt stalls after one iteration
+    # instead of spending _NESTED_MAX_ITER of them, and the tail climb runs
+    # from the same interpolated start
+    calls = []
+    climb = solver._climb
+
+    def recorded(specs, schedule, grid, u, *args):
+        start = u.copy()
+        out = climb(specs, schedule, grid, u, *args)
+        calls.append((grid, schedule, start, out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "_climb", recorded)
+    spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
+    sol = continuation_solve(spec, DEFAULT_SCHEDULE, RadialGrid.uniform(INTERVAL, 20000))
+    assert _rung_meshes(sol) == [312] * 13 + [1250] + [5000] * 5 + [20000]
+    attempt, tail = [c for c in calls if c[0].mesh_size == 5000]
+    assert isinstance(attempt[3], NonConvergence) and len(attempt[1].states) == 1
+    assert attempt[3].last.stop_reason == "stalled" and attempt[3].last.iterations == 1
+    assert attempt[3].last.residual_evals <= 1 + solver._NESTED_MAX_TRIALS
+    coarse = next(c for c in calls if c[0].mesh_size == 1250)
+    start = _sequenced_start(coarse[0], attempt[0], coarse[3].u)
+    assert np.array_equal(attempt[2], start) and np.array_equal(tail[2], start)
+    assert tail[1].states == DEFAULT_SCHEDULE.states[8:]
+    _assert_same_climb(tail[3], climb((spec,), tail[1], tail[0], start)[0])
+
+
 def test_nested_and_retried_strengths_batch_like_single_solves():
     # at M = 20000 lam = 2 keeps the last-rung attempts and lam = 6 retries
-    # the tail on both finer meshes; in one batch each equals its own solve
+    # the tail on the two finest meshes; in one batch each equals its own
+    # solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 6.0)]
     batch = continuation_solve(specs, sched, grid)
     assert [_rung_meshes(sol) for sol in batch] == [
-        [1250] * 13 + [5000] + [20000], [1250] * 13 + [5000] * 5 + [20000] * 5]
+        [312] * 13 + [1250] + [5000] + [20000], [312] * 13 + [1250] + [5000] * 5 + [20000] * 5]
     for spec, got in zip(specs, batch):
         _assert_same_climb(got, continuation_solve(spec, sched, grid))
 
@@ -568,14 +612,37 @@ _ENVELOPE_M4000 = {
 }
 
 
-# the points of the M = 8000 slice that must converge and pass verify: 2000
-# cells climb the whole ladder, then 8000 cells solve the last rung alone or,
-# where that attempt fails, the five rungs with p <= 1.0001.  The others
-# stall (dim 1: 8-11; dim 2: 10-12; dim 3: 12)
+# the points of the M = 2000 slice that must converge and pass verify: 500
+# cells climb the whole ladder, then 2000 cells solve the last rung alone or,
+# where that attempt fails, the five rungs with p <= 1.0001.  Climbed on a
+# 2000-cell mesh alone only 29 of them pass.  The others fail the equation
+# verdict (dim 1: 6, 9, 11)
+_ENVELOPE_M2000 = {
+    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 7, 8, 10),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+}
+
+
+# the points of the M = 8000 slice that must converge and pass verify: 500
+# cells climb the whole ladder, then 2000 and 8000 cells each solve the last
+# rung as on M = 2000.  From a 2000-cell coarse mesh only 31 of them pass.
+# The other fails the equation verdict (dim 1: 11)
 _ENVELOPE_M8000 = {
-    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 13),
+    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
+}
+
+
+# the points of the M = 20000 slice that must converge and pass verify: 312
+# cells climb the whole ladder, then 1250, 5000 and 20000 cells each solve
+# the last rung as on M = 2000.  From a 1250-cell coarse mesh only 32 of them
+# pass.  The others stall (dim 1: 9-11)
+_ENVELOPE_M20000 = {
+    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7, 8),
+    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
 }
 
 
@@ -598,6 +665,11 @@ def test_envelope_m1000_keeps_its_certified_points(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m2000_keeps_its_certified_points(dim):
+    assert _certified(dim, 2000) >= set(_ENVELOPE_M2000[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m4000_keeps_its_certified_points(dim):
     assert _certified(dim, 4000) >= set(_ENVELOPE_M4000[dim])
 
@@ -605,6 +677,11 @@ def test_envelope_m4000_keeps_its_certified_points(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m8000_keeps_its_certified_points(dim):
     assert _certified(dim, 8000) >= set(_ENVELOPE_M8000[dim])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_envelope_m20000_keeps_its_certified_points(dim):
+    assert _certified(dim, 20000) >= set(_ENVELOPE_M20000[dim])
 
 
 def _tridiagonal(rng, m, pivoting):
