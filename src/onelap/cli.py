@@ -16,7 +16,8 @@ otherwise.  Every subcommand accepts `--config <path>`, a JSON file whose
 keys mirror the long flags (values already typed); explicit flags override
 the file, and a key that names no flag or a value its flag cannot take (of
 the wrong type, or outside the flag's choices) exits 1, as does a
-non-finite number from a flag or the file.  Required flags (`--lambda`,
+non-finite number from a flag or the file, or a finite one whose
+arithmetic overflows.  Required flags (`--lambda`,
 `--lambdas`, `--input`, `--fnorm`) cannot come from the file: it is read
 after a first parse, which rejects a missing required flag.
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,9 @@ from .verify import (GridMismatch, Tolerances, VerificationReport,
 from .geometry import DomainSpec, cheeger_bounds, smallness_check, sobolev_constant_limit
 from .solver import (
     DEFAULT_SCHEDULE,
-    ContinuationSchedule,
     NonConvergence,
     ProblemSpec,
     RadialGrid,
-    RegularizationState,
     continuation_solve,
     plateau_extent,
 )
@@ -138,7 +136,8 @@ def _parse_lambdas(text: str) -> list:
         if len(parts) != 3:
             raise _CliError(f"range must be start:stop:step, got {text!r}")
         a, b, st = (float(p) for p in parts)
-        if not np.isfinite([a, b, st]).all() or st <= 0 or b < a:
+        # a range must hold finitely many strengths: 0:1e300:1e-300 does not
+        if not np.isfinite([a, b, st]).all() or st <= 0 or b < a or not np.isfinite((b - a) / st):
             raise _CliError(f"bad range {text!r}")
         k = int(round((b - a) / st))
         vals = [a + i * st for i in range(k + 1)]
@@ -159,29 +158,6 @@ def _typed(what: str, value, kind):
     if out is None or (kind is int and isinstance(value, float) and out != value):
         raise _CliError(f"{what} is not a {kind.__name__}: {value!r}")
     return out
-
-
-# the subcommands that solve, and the schedule knobs they take from a
-# config file only; without `rungs` they climb DEFAULT_SCHEDULE
-_SCHEDULED = ("solve", "sweep")
-_KNOBS = (("newton_tol", float), ("step_tol", float), ("max_iter", int))
-
-
-def _schedule_for(args) -> ContinuationSchedule:
-    rungs = getattr(args, "rungs", None)
-    knobs = {
-        k: _typed(f"config {k!r}", getattr(args, k), t)
-        for k, t in _KNOBS
-        if getattr(args, k, None) is not None
-    }
-    if rungs:
-        try:
-            triples = [(float(p), _typed("config 'rungs' level n", n, int), float(e)) for p, n, e in rungs]
-        except (TypeError, ValueError):
-            raise _CliError(f"config 'rungs' must be a list of [p, n, eps] triples, got {rungs!r}") from None
-        states = tuple(RegularizationState(p=p, n=n, eps=e) for p, n, e in triples)
-        return ContinuationSchedule(states, **knobs)
-    return replace(DEFAULT_SCHEDULE, **knobs)
 
 
 def _report_payload(rep: VerificationReport) -> dict:
@@ -232,11 +208,10 @@ def cmd_solve(args) -> int:
     problem = {"kind": args.domain, "dim": args.dim, "radius": args.radius, "gamma": args.gamma,
                "lam": args.lam, "mesh": args.mesh}
     spec, grid = _problem(**problem)
-    schedule = _schedule_for(args)
     base = _resolve(args.output, f"solve_{args.domain}{args.dim}_lam{args.lam:g}_M{args.mesh}")
     failed_rung = None
     try:
-        sol = continuation_solve(spec, schedule, grid)
+        sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
     except NonConvergence as exc:
         print(f"continuation {exc.last.stop_reason} at rung {exc.rung}: {exc}", file=sys.stderr)
         sol, failed_rung = exc.last, exc.rung
@@ -247,10 +222,7 @@ def cmd_solve(args) -> int:
     grids = {m: RadialGrid.uniform(spec.domain, m) for m in {r.u.size - 1 for r in sol.history}}
     meta = {
         "generator": "solver",
-        "schedule": {
-            "preset": "custom" if getattr(args, "rungs", None) else "default",
-            "rungs": [[s.p, s.n, s.eps] for s in schedule.states],
-        },
+        "schedule": {"preset": "default", "rungs": [[s.p, s.n, s.eps] for s in DEFAULT_SCHEDULE.states]},
         "converged": sol.converged,
         "stop_reason": sol.stop_reason,
         "residual_norm": end.residual_norm,
@@ -356,9 +328,8 @@ def cmd_sweep(args) -> int:
             cols.append(oracle.profile(args.dim, lam, r_abs))
     else:
         grid = RadialGrid.uniform(domain, args.mesh)
-        schedule = _schedule_for(args)
         specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
-        results = continuation_solve(specs, schedule, grid)
+        results = continuation_solve(specs, DEFAULT_SCHEDULE, grid)
         failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
         for lam, sol in failed:
             print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)
@@ -428,13 +399,11 @@ def _emit_record(args, payload: dict, csv_fields, default_name: str) -> int:
 _CONFIG_KINDS = {int: (int,), float: (int, float)}
 
 
-def _check_config(command: str, sub, cfg: dict, path) -> None:
-    """Reject a config key that names no flag of the subcommand (nor a
-    schedule knob, for the subcommands that solve) and a value that its
-    flag cannot take, before either reaches the code behind the flag."""
+def _check_config(sub, cfg: dict, path) -> None:
+    """Reject a config key that names no flag of the subcommand and a value
+    that its flag cannot take, before either reaches the code behind the
+    flag."""
     keys = {action.dest for action in sub._actions if action.dest != "help"}
-    if command in _SCHEDULED:
-        keys.update(["rungs"] + [k for k, _ in _KNOBS])
     for key in cfg:
         if key not in keys:
             raise _CliError(f"{path}: unknown config key {key!r}")
@@ -468,14 +437,11 @@ def main(argv=None) -> int:
             cfg = io.read_json(args.config)
             if not isinstance(cfg, dict):
                 raise _CliError(f"{args.config}: config must be a JSON object")
-            _check_config(args.command, subs[args.command], cfg, args.config)
+            _check_config(subs[args.command], cfg, args.config)
             subs[args.command].set_defaults(**cfg)
             args = ap.parse_args(argv)  # explicit flags still win
         return _DISPATCH[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_CliError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -574,37 +574,9 @@ def test_smallness_record(capsys):
     assert fails["holds"] is False
 
 
-def test_config_starves_newton_exit_two(tmp_path, capsys):
-    cfg = tmp_path / "hard.json"
-    cfg.write_text(json.dumps({"rungs": [[1.5, 100, 0.001]], "max_iter": 2}))
-    rc = cli.main(
-        [
-            "solve",
-            "--domain",
-            "interval",
-            "--dim",
-            "1",
-            "--lambda",
-            "4",
-            "--mesh",
-            "120",
-            "--config",
-            str(cfg),
-            "--output",
-            str(tmp_path / "stall"),
-        ]
-    )
-    assert rc == 2
-    assert "stalled at rung 0" in capsys.readouterr().err
-    meta = io.read_json(tmp_path / "stall.meta.json")
-    assert meta["failed_rung"] == 0
-    assert meta["converged"] is False
-    assert meta["schedule"]["preset"] == "custom"
-
-
-@pytest.mark.parametrize("config", [{"rungs": 5}, {"max_iter": [1]}, {"output": 5}, {"max_iter": 0},
-                                    {"newton_tol": -1.0, "step_tol": -1.0}, {"max_iter": math.inf},
-                                    {"step_tol": math.nan}, {"max_iter": 2.5}, {"rungs": [[1.5, 100.9, 0.001]]}])
+@pytest.mark.parametrize("config", [{"mesh": 2.5}, {"mesh": [1]}, {"output": 5}, {"dim": 0},
+                                    {"gamma": -1.0, "radius": -1.0}, {"mesh": math.inf},
+                                    {"gamma": math.nan}, {"dim": True}, {"dim": "2.5"}])
 def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -618,16 +590,20 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     (["cheeger"], {"mesch": 10, "dimm": 3}, "mesch"),
     (["oracle", "--lambda", "3"], {"mesh": 64, "max_iter": 5}, "max_iter"),
     (["verify", "--input", "none"], {"rungs": [[1.1, 10, 0.01]]}, "rungs"),
-    (["solve", "--lambda", "4"], {"max_iter": 5, "command": "oracle"}, "command"),
+    (["solve", "--lambda", "4"], {"mesh": 64, "command": "oracle"}, "command"),
     (["cheeger"], {"format": "xml"}, "config 'format' must be one of ['csv', 'json'], got 'xml'"),
     (["sweep", "--lambdas", "4"], {"mode": "solverr"}, "config 'mode' must be one of ['oracle', 'solver'], got 'solverr'"),
     (["cheeger"], [1, 2], "config must be a JSON object"),
     (["solve", "--lambda", "4"], {"schedule": "fast"}, "schedule"),  # no preset is named by config
+    # nor is a ladder: solve and sweep climb DEFAULT_SCHEDULE only
+    *[(argv, {key: value}, key)
+      for argv in (["solve", "--lambda", "4"], ["sweep", "--mode", "solver", "--lambdas", "4"])
+      for key, value in (("rungs", [[1.5, 100, 0.001]]), ("newton_tol", 1e-8), ("step_tol", 0.0), ("max_iter", 5))],
 ])
 def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
-    # a key that names no flag of the subcommand, nor a schedule knob of
-    # solve or sweep, is a typo and must not be dropped in silence; so is a
-    # value outside its flag's choices, which argparse checks only on flags
+    # a key that names no flag of the subcommand is a typo and must not be
+    # dropped in silence; so is a value outside its flag's choices, which
+    # argparse checks only on flags
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(argv + ["--config", str(cfg)]) == 1
@@ -649,13 +625,21 @@ def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     (["solve", "--radius", "inf", "--lambda", "4", "--mesh", "64"], None),
     (["solve", "--lambda", "inf", "--mesh", "64"], None),
     (["solve", "--lambda", "4", "--mesh", "64"], {"gamma": math.inf}),
-    (["solve", "--lambda", "4", "--mesh", "64"], {"rungs": [[math.inf, 100, 1e-3]]}),
+    (["solve", "--lambda", "4", "--mesh", "64"], {"radius": math.inf}),
     (["oracle", "--lambda", "inf", "--mesh", "64"], None),
     (["solve", "--lambda", "4", "--schedule", "default"], None),  # no preset is named by flag
+    # finite flags whose arithmetic overflows
+    (["cheeger", "--dim", "400"], None),  # the unit ball's volume overflows math.gamma
+    (["smallness", "--dim", "400", "--lambda", "1", "--fnorm", "1"], None),
+    (["cheeger", "--radius", "1e-320"], None),  # the measure's power -1 overflows
+    (["cheeger", "--dim", "3", "--radius", "1e300"], None),  # the measure R ** 3 overflows
+    (["sweep", "--lambdas", "0:1e300:1e-300"], None),  # a range of infinitely many strengths
 ])
 def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     # JSON's Infinity reaches the code like the flag text "inf": both exit 1
-    # with one error line, before any arithmetic could warn or write a file
+    # with one error line, before any arithmetic could warn or write a file;
+    # a finite flag whose arithmetic overflows exits 1 the same way, not
+    # with a traceback
     if config is not None:
         cfg = tmp_path / "inf.json"
         cfg.write_text(json.dumps(config))
@@ -666,7 +650,7 @@ def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["inf.json"])
 
 
-_VERDICTS = "verdicts: field_bound={}, pairing={}, equation={}, trace=pass, energy=pass, log_substitution=pass"
+_VERDICTS = "verdicts: field_bound={}, pairing={}, equation={}, trace=pass, energy={}, log_substitution=pass"
 _BUNDLE_KEYS = ["dim", "gamma", "generator", "kind", "lam", "mesh", "radius", "schedule"]
 _REPORT_KEYS = ["defects", "log_substitution", "passed", "plateau_radius_estimate", "verdicts"]
 _SOLVER_KEYS = ["converged", "residual_norm", "rungs", "stop_reason"]
@@ -674,12 +658,13 @@ _SOLVER_KEYS = ["converged", "residual_norm", "rungs", "stop_reason"]
 
 @pytest.mark.parametrize("argv, config, rc, keys, lines", [
     (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "200"], None, 0, _SOLVER_KEYS,
-     ["sup norm 0.94976309842663476, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass")]),
-    (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "120"],
-     {"rungs": [[1.5, 100, 0.001]], "max_iter": 2}, 2, _SOLVER_KEYS + ["failed_rung"],
-     ["sup norm 1.0007319506394146, plateau radius 0", _VERDICTS.format("FAIL", "FAIL", "FAIL")]),
+     ["sup norm 0.94976309842663476, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass", "pass")]),
+    # stalls at rung 7 and writes rung 6; the mesh comes from the config file
+    (["solve", "--domain", "ball", "--dim", "1", "--lambda", "14"], {"mesh": 500}, 2, _SOLVER_KEYS + ["failed_rung"],
+     ["sup norm 0.99999878929182207, plateau radius 0.052000000000000005",
+      _VERDICTS.format("FAIL", "FAIL", "FAIL", "FAIL")]),
     (["oracle", "--dim", "2", "--lambda", "4", "--mesh", "500"], None, 0, ["plateau_radius_exact"],
-     [_VERDICTS.format("pass", "pass", "pass")]),
+     [_VERDICTS.format("pass", "pass", "pass", "pass")]),
 ])
 def test_bundle_keys_stdout_and_verify_verdicts(tmp_path, capsys, argv, config, rc, keys, lines):
     # solve (converged or stalled) and oracle write through one writer: the
