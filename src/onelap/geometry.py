@@ -63,7 +63,10 @@ def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball, pi^(N/2)/Gamma(N/2 + 1)."""
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        raise OverflowError(f"dim {dim} is out of range: the unit ball's volume overflows float") from None
 
 
 def sphere_area(dim: int) -> float:
@@ -84,9 +87,14 @@ def cheeger_bounds(domain: DomainSpec) -> CheegerBounds:
     Cheeger constant N/radius.  Balls (and the interval, which is the 1-d
     ball) saturate both bounds, so all three coincide here."""
     n = domain.dim
-    measure = domain_measure(domain)
-    lower = n * unit_ball_volume(n) ** (1.0 / n) * measure ** (-1.0 / n)
-    upper = domain_perimeter(domain) / measure
+    omega = unit_ball_volume(n)
+    try:
+        measure = domain_measure(domain)
+        lower = n * omega ** (1.0 / n) * measure ** (-1.0 / n)
+        upper = domain_perimeter(domain) / measure
+    except OverflowError:
+        raise OverflowError(f"radius {domain.radius!r} is out of range in dim {n}: "
+                            "the Cheeger bounds overflow float") from None
     return CheegerBounds(lower=lower, upper=upper, exact=n / domain.radius)
 
 

@@ -172,12 +172,18 @@ class RadialGrid:
         mids = 0.5 * (nodes[1:] + nodes[:-1])
         faces = np.concatenate(([0.0], mids))  # inner faces of cells 0..M-1
         outer = np.concatenate((mids, [self.radius]))
-        cell_w = (outer**n - faces**n) / (n * dr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cell_w = (outer**n - faces**n) / (n * dr)
+            mid_w = mids ** (n - 1)
+        # a cell volume or midpoint weight of 0 or inf would make the residual NaN
+        if not all(np.isfinite(w).all() and w.all() for w in (cell_w * dr, mid_w)):
+            raise ValueError(f"dim {n} on a mesh of {m} cells of radius {self.radius!r} "
+                             "puts the finite-volume weights out of float range")
         object.__setattr__(self, "spacing", dr)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "midpoints", mids)
         object.__setattr__(self, "node_weights", cell_w)  # one per node 0..M
-        object.__setattr__(self, "midpoint_weights", mids ** (n - 1))
+        object.__setattr__(self, "midpoint_weights", mid_w)
 
     @classmethod
     def uniform(cls, domain: DomainSpec, mesh_size: int) -> "RadialGrid":
@@ -210,10 +216,9 @@ class DiscreteSolution:
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
+    """The rungs of a continuation ladder, in the order they are solved."""
+
     states: tuple
-    newton_tol: float = 1e-9
-    step_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -227,12 +232,6 @@ class ContinuationSchedule:
                 raise ValueError("schedule must not decrease n")
             if b.eps > a.eps:
                 raise ValueError("schedule must not increase eps")
-        if not (math.isfinite(self.max_iter) and self.max_iter >= 1 and int(self.max_iter) == self.max_iter):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
-        if not (math.isfinite(self.step_tol) and self.step_tol >= 0.0):
-            raise ValueError(f"step_tol must be nonnegative and finite, got {self.step_tol!r}")
 
 
 def regularized_flux(s, p: float, eps: float):
@@ -607,39 +606,46 @@ class BatchSolution:
     iterations: int
 
 
+# Newton's stopping rule (see `newton_solve`) and a ladder rung's budget of
+# iterations and line-search trials; a nested attempt gets _NESTED_MAX_ITER.
+_NEWTON_TOL = 1e-9
+_STEP_TOL = 1e-12
+_MAX_ITER = 200
+_MAX_TRIALS = 50
+
+
 def newton_solve(
     spec,
     state: RegularizationState,
     grid: RadialGrid,
     u0: np.ndarray,
-    tol: float = ContinuationSchedule.newton_tol,
-    step_tol: float = ContinuationSchedule.step_tol,
-    max_iter: int = ContinuationSchedule.max_iter,
-    max_trials: int = 50,
+    max_iter: int = _MAX_ITER,
+    max_trials: int = _MAX_TRIALS,
 ):
     """Damped Newton on the rung equations from the iterate u0.
 
-    Convergence is row-wise: every residual entry must drop below tol or
-    below that row's float-resolution allowance, whichever is larger
-    (stop_reason "residual" vs "float_floor").  A proposed step below
-    step_tol relative to the iterate also stops the loop ("stagnation").
-    Line search is Armijo backtracking with strict decrease on the
-    allowance-weighted residual 2-norm; the weighting keeps plateau
-    quantization noise at O(1) per row so progress on the few genuinely
-    unconverged rows stays visible.  Each search halves alpha from its
-    start for at most max_trials trials (default 50), and a dead end stalls
-    the strength.  The start is not always 1: a strength remembers the alpha
+    Convergence is row-wise: every residual entry must drop below
+    _NEWTON_TOL or below that row's float-resolution allowance, whichever
+    is larger (stop_reason "residual" vs "float_floor").  A proposed step
+    below _STEP_TOL relative to the iterate also stops the loop
+    ("stagnation").  Line search is Armijo backtracking with strict
+    decrease on the allowance-weighted residual 2-norm; the weighting keeps
+    plateau quantization noise at O(1) per row so progress on the few
+    genuinely unconverged rows stays visible.  Each search halves alpha
+    from its start for at most max_trials trials, and a dead end stalls the
+    strength.  The start is not always 1: a strength remembers the alpha
     it last accepted in this call, and its next search starts at
     min(1, 2 alpha), so a strength crawling at alpha ~ 2^-15 does not pay
     15 rejected trials per step (damping-factor prediction, Deuflhard 2004,
     sec. 3.1).  The memory starts at 1 on every call, that is on every
-    rung.  `residual_evals`
-    counts the strength's first evaluation plus every trial it took part in.
+    rung.  `residual_evals` counts the strength's first evaluation plus
+    every trial it took part in.
 
-    A strength fails its rung when it runs out of iterations or meets a line
-    search dead end ("stalled"), or when its banded solve is singular
-    ("singular") or gives a non-finite step ("non_finite").  It then ends in
-    NonConvergence, whose `last` is the DiscreteSolution at its last iterate.
+    A strength fails its rung when it runs out of its max_iter iterations or
+    meets a line search dead end ("stalled"), or when its banded solve is
+    singular ("singular") or gives a non-finite step ("non_finite").  It then
+    ends in NonConvergence, whose `last` is the DiscreteSolution at its last
+    iterate.
 
     Given K specs and u0 of shape (K, M+1), the K strengths iterate
     together: each iteration assembles and solves the strengths still
@@ -668,15 +674,15 @@ def newton_solve(
     def leave(gone, its, cause):
         """End the strengths in the rows `gone` of the row set after `its`
         iterations.  A row stops on "residual" when its max |residual| is at
-        most tol, otherwise on the cause its exit names (one stop reason for
-        all rows, or one per row); a failing reason ends it in
+        most _NEWTON_TOL, otherwise on the cause its exit names (one stop
+        reason for all rows, or one per row); a failing reason ends it in
         NonConvergence.  Rows at the stagnation (or singular) and dead-end
-        exits failed the done test, whose allowance is at least tol, so they
-        keep their cause.  Returns the row set of the rows that stay."""
+        exits failed the done test, whose allowance is at least _NEWTON_TOL,
+        so they keep their cause.  Returns the row set of the rows that stay."""
         for j in np.flatnonzero(gone):
             i = pieces.rows[j]
             norm = float(np.abs(pieces.residual[j]).max())
-            why = "residual" if norm <= tol else (cause if isinstance(cause, str) else cause[j])
+            why = "residual" if norm <= _NEWTON_TOL else (cause if isinstance(cause, str) else cause[j])
             counts[i] = its
             sol = DiscreteSolution(
                 u=pieces.u[j].copy(),
@@ -700,7 +706,7 @@ def newton_solve(
     _, ab = assemble_system(specs, state, grid, pieces.u, pieces=pieces)
     its = 0
     for its in range(1, max_iter + 1):
-        allow = np.maximum(tol, _row_allowance(ab, pieces.u))
+        allow = np.maximum(_NEWTON_TOL, _row_allowance(ab, pieces.u))
         done = (np.abs(pieces.residual) <= allow).all(axis=1)
         if any(done):
             pieces = leave(done, its - 1, "float_floor")
@@ -709,7 +715,7 @@ def newton_solve(
             ab = ab.reshape(3, done.size, m)[:, ~done].reshape(3, -1)
             allow = allow[~done]
         step, failed = _newton_steps(ab, pieces.residual)
-        stop = np.abs(step).max(axis=1) <= step_tol * (1.0 + np.abs(pieces.u).max(axis=1))
+        stop = np.abs(step).max(axis=1) <= _STEP_TOL * (1.0 + np.abs(pieces.u).max(axis=1))
         stop[list(failed)] = True
         if any(stop):
             pieces = leave(stop, its - 1, [failed.get(j, "stagnation") for j in range(stop.size)])
@@ -806,7 +812,7 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
 # - the last rung took 7-8 iterations on the finest meshes of the
 #   solve-fine benchmark, where the tail takes about 50.  Without the cap
 #   of 20 iterations, about 30 % of the envelope attempts at M = 8000 and
-#   20000 ran to max_iter (200).
+#   20000 ran to _MAX_ITER (200).
 _SEQUENCE_FACTOR = 4
 _SEQUENCE_FLOOR = 300
 _DEEP_P = 1.0001
@@ -826,15 +832,15 @@ def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
 
 
 def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray,
-           max_trials: int = 50) -> list:
+           max_iter: int = _MAX_ITER, max_trials: int = _MAX_TRIALS) -> list:
     """Climb the schedule on one grid from the states u, shape (K, M+1),
-    warm-starting each rung: one batched `newton_solve` per rung, whose line
-    searches take at most max_trials trials.  A row of
-    u is overwritten by each rung its strength converges, so a strength that
-    fails its first rung leaves its start in u.  Returns, in input order,
-    each strength's final solution, whose `history` holds its rungs of this
-    climb, or the NonConvergence, with its `rung` set and its `last.history`
-    running through that rung, that stopped it."""
+    warm-starting each rung: one batched `newton_solve` per rung, of at most
+    max_iter iterations whose line searches take at most max_trials trials.
+    A row of u is overwritten by each rung its strength converges, so a
+    strength that fails its first rung leaves its start in u.  Returns, in
+    input order, each strength's final solution, whose `history` holds its
+    rungs of this climb, or the NonConvergence, with its `rung` set and its
+    `last.history` running through that rung, that stopped it."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
@@ -849,16 +855,7 @@ def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np
                 if float(np.max(np.abs(u[i]))) <= 1e-4:
                     u[i] = u[i] * (st.eps / prev_eps)
         prev_eps = st.eps
-        batch = newton_solve(
-            tuple(specs[i] for i in rows),
-            st,
-            grid,
-            u[rows],
-            tol=schedule.newton_tol,
-            step_tol=schedule.step_tol,
-            max_iter=schedule.max_iter,
-            max_trials=max_trials,
-        )
+        batch = newton_solve(tuple(specs[i] for i in rows), st, grid, u[rows], max_iter, max_trials)
         climbing = []
         for i, sol in zip(rows, batch.results):
             if isinstance(sol, NonConvergence):
@@ -887,15 +884,16 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     coarsest mesh climbs the whole schedule, and each finer one, up to the
     grid's own, starts from the coarser end states, linearly interpolated
     onto its nodes, and solves only the schedule's last rung, with at most
-    20 Newton iterations and line searches of at most 8 trials (nested
-    iteration).  A strength that fails this attempt climbs the rungs with
-    p <= 1.0001 on that mesh from the same start.  `history` then lists the
-    coarse ladder, then each finer mesh's last rung or tail, the last entry
-    on the grid; a rung's mesh is `u.size - 1`.  A failed attempt leaves no
-    rung, so its iterations are in no `history` entry.  A strength that
-    fails a tail climbs the whole schedule again on the grid from zero, so
-    a failure, its rung and its history are those of a climb on the grid
-    alone.  A ladder whose rungs all lie on one side of p = 1.0001, and any
+    _NESTED_MAX_ITER (20) Newton iterations and line searches of at most
+    _NESTED_MAX_TRIALS (8) trials (nested iteration), where a rung of a
+    climb gets _MAX_ITER (200) and _MAX_TRIALS (50).  A strength that fails
+    this attempt climbs the rungs with p <= 1.0001 on that mesh from the
+    same start.  `history` then lists the coarse ladder, then each finer
+    mesh's last rung or tail, the last entry on the grid; a rung's mesh is
+    `u.size - 1`.  A failed attempt leaves no rung, so its iterations are
+    in no `history` entry.  A strength that fails a tail climbs the whole
+    schedule again on the grid from zero, so a failure, its rung and its
+    history are those of a climb on the grid alone.  A ladder whose rungs all lie on one side of p = 1.0001, and any
     grid under 1200 cells, climb one mesh.
 
     Given a sequence of K specs sharing the singular exponent, the strengths
@@ -909,8 +907,8 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     meshes = _meshes(grid.mesh_size, schedule)
     results = [None] * len(specs)
     if len(meshes) > 1:
-        last = replace(schedule, states=schedule.states[-1:], max_iter=min(schedule.max_iter, _NESTED_MAX_ITER))
-        tail = replace(schedule, states=tuple(st for st in schedule.states if st.p <= _DEEP_P))
+        last = ContinuationSchedule(schedule.states[-1:])
+        tail = ContinuationSchedule(tuple(st for st in schedule.states if st.p <= _DEEP_P))
         rows = list(range(len(specs)))  # strengths still sequenced
         earlier = [() for _ in specs]  # their rungs on the coarser meshes
         u = np.zeros((len(specs), meshes[0] + 1))
@@ -924,7 +922,7 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
             else:
                 u = np.array([np.interp(fine.nodes, coarse.nodes, v) for v in u])
                 u[:, -1] = 0.0  # the boundary node, exactly
-                out = _climb(tuple(specs[i] for i in rows), last, fine, u, _NESTED_MAX_TRIALS)
+                out = _climb(tuple(specs[i] for i in rows), last, fine, u, _NESTED_MAX_ITER, _NESTED_MAX_TRIALS)
                 # a failed attempt left its start in u
                 retry = [j for j, sol in enumerate(out) if isinstance(sol, NonConvergence)]
                 if retry:

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,7 +424,7 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     assert all(r["stop_reason"] in ("residual", "float_floor", "stagnation") for r in rungs[:-1])
     last = rungs[-1]
     assert last["stop_reason"] == meta["stop_reason"] == "stalled"
-    assert last["iterations"] == DEFAULT_SCHEDULE.max_iter
+    assert last["iterations"] == solver._MAX_ITER
     written = rungs[-2]
     assert written["residual_norm"] == meta["residual_norm"] < last["residual_norm"]
     rec = io.read_solution(tmp_path / "stall")
@@ -634,6 +635,12 @@ def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     (["cheeger", "--radius", "1e-320"], None),  # the measure's power -1 overflows
     (["cheeger", "--dim", "3", "--radius", "1e300"], None),  # the measure R ** 3 overflows
     (["sweep", "--lambdas", "0:1e300:1e-300"], None),  # a range of infinitely many strengths
+    # grids whose finite-volume weights leave the float range: the innermost
+    # cell's (dr/2)^N underflows to 0, or R^N overflows
+    (["oracle", "--dim", "100", "--lambda", "110", "--mesh", "1000"], None),
+    (["oracle", "--dim", "400", "--lambda", "500", "--mesh", "64"], None),
+    (["solve", "--dim", "200", "--lambda", "300", "--mesh", "64"], None),
+    (["solve", "--dim", "150", "--radius", "200", "--lambda", "1", "--mesh", "64"], None),
 ])
 def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     # JSON's Infinity reaches the code like the flag text "inf": both exit 1
@@ -644,10 +651,32 @@ def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
         cfg = tmp_path / "inf.json"
         cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
-    assert cli.main(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 1
+    assert [str(w.message) for w in caught] == []
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["inf.json"])
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["cheeger", "--dim", "400"], "dim 400 is out of range: the unit ball's volume overflows float"),
+    (["smallness", "--dim", "400", "--lambda", "1", "--fnorm", "1"],
+     "dim 400 is out of range: the unit ball's volume overflows float"),
+    (["cheeger", "--radius", "1e-320"], "radius 1e-320 is out of range in dim 1: the Cheeger bounds overflow float"),
+    (["cheeger", "--dim", "3", "--radius", "1e300"],
+     "radius 1e+300 is out of range in dim 3: the Cheeger bounds overflow float"),
+    (["oracle", "--dim", "100", "--lambda", "110", "--mesh", "1000"],
+     "dim 100 on a mesh of 1000 cells of radius 1.0 puts the finite-volume weights out of float range"),
+    (["solve", "--dim", "150", "--radius", "200", "--lambda", "1", "--mesh", "64"],
+     "dim 150 on a mesh of 64 cells of radius 200.0 puts the finite-volume weights out of float range"),
+], ids=["cheeger-dim", "smallness-dim", "cheeger-tiny-radius", "cheeger-huge-radius", "grid-underflow",
+        "grid-overflow"])
+def test_out_of_range_errors_name_the_input(capsys, argv, error):
+    # an overflow or an underflow says which flag, at which value, caused it
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 _VERDICTS = "verdicts: field_bound={}, pairing={}, equation={}, trace=pass, energy={}, log_substitution=pass"

@@ -1,6 +1,7 @@
 """Discretization, Newton iteration, and the continuation driver."""
 
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ def test_grid_weights_telescope():
         )
 
 
+@pytest.mark.parametrize("dim, radius, mesh", [(100, 1.0, 1000), (400, 1.0, 64), (150, 200.0, 64)])
+def test_grid_rejects_weights_out_of_float_range(dim, radius, mesh):
+    # the innermost cell volume (dr/2)^N / N underflows to 0 at dims 100 and
+    # 400, and R^N overflows at dim 150 over radius 200; either would turn
+    # the divergence into NaN, so the grid refuses them without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^dim {dim} on a mesh of {mesh} cells of radius {radius!r} "):
+            RadialGrid(dim=dim, radius=radius, mesh_size=mesh)
+
+
+def test_grid_keeps_subnormal_weights():
+    # at dim 95 on 1000 cells the innermost weights are subnormal, not 0
+    grid = RadialGrid(dim=95, radius=1.0, mesh_size=1000)
+    assert 0.0 < grid.cell_volumes()[0] < np.finfo(float).tiny
+    assert 0.0 < grid.midpoint_weights[0] < np.finfo(float).tiny
+
+
 def test_schedule_validation():
     good = _state(p=1.4)
     with pytest.raises(ValueError):
@@ -107,11 +126,6 @@ def test_schedule_validation():
         ContinuationSchedule((good, _state(p=1.2, n=50)))  # n drops
     with pytest.raises(ValueError):
         ContinuationSchedule((good, _state(p=1.2, eps=1e-3)))  # eps grows
-    for knobs in ({"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": np.inf}, {"newton_tol": 0.0},
-                  {"newton_tol": -1.0}, {"newton_tol": np.nan}, {"step_tol": -1.0}, {"step_tol": np.inf}):
-        with pytest.raises(ValueError, match=next(iter(knobs))):
-            ContinuationSchedule((good,), **knobs)
-    assert ContinuationSchedule((good,), step_tol=0.0, max_iter=1).step_tol == 0.0
 
 
 def test_default_schedule():
@@ -123,7 +137,10 @@ def test_default_schedule():
     assert [st.n for st in states] == [100, 1000, 10_000, 100_000] + [1_000_000] * 9
     assert [st.eps for st in states] == [min(max((st.p - 1.0) ** 2, 1e-8), 1e-3) for st in states]
     assert states[0].eps == 1e-3 and states[-1].eps == 1e-8
-    assert (DEFAULT_SCHEDULE.newton_tol, DEFAULT_SCHEDULE.step_tol, DEFAULT_SCHEDULE.max_iter) == (1e-9, 1e-12, 200)
+    # a schedule is its rungs; Newton's stopping rule and budgets are the
+    # solver's own constants
+    assert [f.name for f in fields(DEFAULT_SCHEDULE)] == ["states"]
+    assert (solver._NEWTON_TOL, solver._STEP_TOL, solver._MAX_ITER, solver._MAX_TRIALS) == (1e-9, 1e-12, 200, 50)
 
 
 # -------------------------------------------------------------- residual
@@ -257,13 +274,18 @@ def test_newton_determinism():
 # ----------------------------------------------------------- continuation
 
 def test_continuation_attaches_failing_rung():
+    # the ladder's p = 1.0001 rung solved cold: from u = 0 Newton runs out of
+    # its iterations on the first and only rung
     grid = RadialGrid.uniform(INTERVAL, 64)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sched = ContinuationSchedule((_state(p=1.4),), max_iter=1)
+    sched = ContinuationSchedule(DEFAULT_SCHEDULE.states[8:9])
+    assert sched.states[0].p == 1.0001
     with pytest.raises(NonConvergence) as info:
         continuation_solve(spec, sched, grid)
     assert info.value.rung == 0
-    assert info.value.last is not None and not info.value.last.converged
+    last = info.value.last
+    assert last is not None and not last.converged
+    assert (last.stop_reason, last.iterations) == ("stalled", solver._MAX_ITER)
 
 
 def test_continuation_history_and_plateau():
@@ -326,9 +348,9 @@ def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
             # the rungs climbed, then the stalled one
             assert len(got.history) == rung + 1 and got.history[-1].stop_reason == "stalled"
             if how == "max_iter":
-                assert got.iterations == sched.max_iter
+                assert got.iterations == solver._MAX_ITER
             else:
-                assert got.iterations < sched.max_iter
+                assert got.iterations < solver._MAX_ITER
         else:
             assert len(got.history) == len(sched.states)
         _assert_same_climb(got, want)
@@ -464,7 +486,7 @@ def test_failed_nested_attempts_keep_the_tail_climb():
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     sched = DEFAULT_SCHEDULE
-    last = replace(sched, states=sched.states[-1:], max_iter=solver._NESTED_MAX_ITER)
+    last = ContinuationSchedule(sched.states[-1:])
     tail = ContinuationSchedule(sched.states[8:])
     assert all(st.p <= 1.0001 for st in tail.states) and sched.states[7].p > 1.0001
     spec = ProblemSpec(dom, gamma=1.0, source=6.0)
@@ -472,9 +494,11 @@ def test_failed_nested_attempts_keep_the_tail_climb():
     coarse = RadialGrid(1, 1.0, 312)
     want = solver._climb((spec,), sched, coarse, np.zeros((1, 313)))[0]
     history = want.history
-    for m, rungs, trials in ((1250, last, solver._NESTED_MAX_TRIALS), (5000, tail, 50), (20000, tail, 50)):
+    nested = (solver._NESTED_MAX_ITER, solver._NESTED_MAX_TRIALS)
+    ladder = (solver._MAX_ITER, solver._MAX_TRIALS)
+    for m, rungs, budget in ((1250, last, nested), (5000, tail, ladder), (20000, tail, ladder)):
         fine = RadialGrid(1, 1.0, m)
-        want = solver._climb((spec,), rungs, fine, _sequenced_start(coarse, fine, want.u), trials)[0]
+        want = solver._climb((spec,), rungs, fine, _sequenced_start(coarse, fine, want.u), *budget)[0]
         history += want.history
         coarse = fine
     _assert_same_climb(sol, replace(want, history=history))
