@@ -7,11 +7,12 @@ on each rung is the p-Laplacian surrogate with truncated absorption,
 
 on a uniform radial grid over [0, R], with the gradient norm smoothed through
 eps: phi(s) = (s^2 + eps^2)^((p-2)/2) s.  A continuation schedule drives
-p -> 1, n -> infinity, eps -> 0, warm-starting each rung from the last.
-Fluxes live on cell midpoints; the divergence is the finite-volume balance
-over the cell [r_{i-1/2}, r_{i+1/2}] with exact cell averages of r^(N-1), so
-a linear-in-r flux field has exactly constant discrete divergence.  Each rung
-is solved by a damped Newton iteration on the exact tridiagonal Jacobian.
+p -> 1, n -> infinity, eps -> 0, warm-starting each rung from the core flux
+of the last.  Fluxes live on cell midpoints; the divergence is the
+finite-volume balance over the cell [r_{i-1/2}, r_{i+1/2}] with exact cell
+averages of r^(N-1), so a linear-in-r flux field has exactly constant
+discrete divergence.  Each rung is solved by a damped Newton iteration on
+the exact tridiagonal Jacobian.
 
 Deep rungs sit at the edge of what float64 can represent: the flux slope
 d(phi)/d(slope) reaches 1/eps on the plateau, so moving a nodal value by one
@@ -813,6 +814,10 @@ def gradient_mass(grid: RadialGrid, u: np.ndarray, p: float) -> float:
 #   solve-fine benchmark, where the tail takes about 50.  Without the cap
 #   of 20 iterations, about 30 % of the envelope attempts at M = 8000 and
 #   20000 ran to _MAX_ITER (200).
+# These figures predate the core-flux warm start of `_climb`.  With it, M =
+# 2000 and 4000 climbed on M alone certify 35 of their 39 points against 36
+# sequenced, and M = 8000 and 20000 from coarse meshes of 2000 and 1250
+# cells 37 and 38 against 38 and 38.
 _SEQUENCE_FACTOR = 4
 _SEQUENCE_FLOOR = 300
 _DEEP_P = 1.0001
@@ -831,31 +836,80 @@ def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
     return tuple(reversed(meshes))
 
 
+# The flat core of a rung, as p -> 1, keeps its flux z (|z| < 1) while its
+# slopes shrink like eps^(2-p), so each rung's warm start carries the core
+# flux, not the slopes, across (see `_carry_core_flux`).  The core runs from
+# the origin up to the first cell with |z| >= _SATURATED.  Measured on the
+# 117-point unit-ball envelope grid (dims 1-3, lam in {0.5, 0.9, 1.1}N and
+# N+1 ... N+10, M in {1000, 2000, 4000}, dims batched), points certified and
+# batched Newton iterations: 0.99 gave 107 in 2709, 0.999 gave 108 in 1640,
+# 0.9999 gave 108 in 1680, and 1.0 (every cell whose flux is below one) 104
+# in 5749; the previous rung's u as it stood gave 100 in 4668.  The core must
+# be contiguous: a plain mask |z| < C also picks saturated cells where |D| < 1
+# puts |z| = |D|^(p-1) just below 1, and with C = 0.9995 and 0.9999 dim 1 at
+# lam = 8 and 6 then stalled on 1000 cells (rungs 9 and 10).
+_SATURATED = 0.999
+
+
+def _slope_of_flux(z: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """The slopes s with regularized_flux(s, p, eps) = z, for z != 0.
+
+    With s = eps t and y = |z| / eps^(p-1) this is t (1 + t^2)^((p-2)/2) = y,
+    solved for ln t by 8 Newton steps.  In ln t the left side is increasing
+    and concave, so Newton climbs to the root from below; both starts, ln y
+    and, where y >= 1, ln y / (p-1) (the t >> 1 asymptote), lie below it."""
+    ln_y = np.log(np.abs(z)) - (p - 1.0) * math.log(eps)
+    w = np.where(ln_y >= 0.0, ln_y / (p - 1.0), ln_y)
+    for _ in range(8):
+        t2 = np.exp(2.0 * w)
+        f = 0.5 * (p - 2.0) * np.log1p(t2) + w - ln_y
+        w -= f / (1.0 + (p - 2.0) * t2 / (1.0 + t2))
+    return np.copysign(eps * np.exp(w), z)
+
+
+def _carry_core_flux(u: np.ndarray, z: np.ndarray, state: RegularizationState, dr: float) -> np.ndarray:
+    """The start of the rung `state` from the converged states u (shape
+    (K, M+1)) of the previous rung, whose midpoint fluxes are z (K, M): in
+    each row's core, the cells from the origin up to its first cell with
+    |z| >= _SATURATED, the slopes become those that give the same flux under
+    the new rung's law, and the state is rebuilt from them inward from the
+    core edge.  Every node outside the core keeps its bits.  A state on the
+    trivial branch is all core.  Row by row, so a batch equals its single
+    solves."""
+    core = np.logical_and.accumulate(np.abs(z) < _SATURATED, axis=-1)
+    moving = core & (z != 0.0)
+    s = np.zeros(z.shape)
+    s[moving] = _slope_of_flux(z[moving], state.p, state.eps)
+    s *= dr
+    drop = np.cumsum(s[:, ::-1], axis=-1)[:, ::-1]  # drop[i] = dr * sum of s_j for j >= i
+    edge = u[np.arange(len(u)), core.sum(axis=-1)]  # the first node outside the core
+    start = u.copy()
+    start[:, :-1] = np.where(core, edge[:, None] - drop, u[:, :-1])
+    return start
+
+
 def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray,
            max_iter: int = _MAX_ITER, max_trials: int = _MAX_TRIALS) -> list:
     """Climb the schedule on one grid from the states u, shape (K, M+1),
     warm-starting each rung: one batched `newton_solve` per rung, of at most
     max_iter iterations whose line searches take at most max_trials trials.
     A row of u is overwritten by each rung its strength converges, so a
-    strength that fails its first rung leaves its start in u.  Returns, in
+    strength that fails its first rung leaves its start in u.  Before every
+    rung but the first, each climbing row carries its previous rung's core
+    flux into the new rung's slopes (`_carry_core_flux`).  Returns, in
     input order, each strength's final solution, whose `history` holds its
     rungs of this climb, or the NonConvergence, with its `rung` set and its
     `last.history` running through that rung, that stopped it."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
-    prev_eps = None
     for k, st in enumerate(schedule.states):
-        # A sub-threshold state is regularization dust: on the trivial branch
-        # the profile scales linearly with eps, so rescale the warm start when
-        # eps drops.  Otherwise the stale slopes sit far above the new eps,
-        # the flux saturates, and Newton overshoots toward a spurious bump.
-        if prev_eps is not None and st.eps < prev_eps:
-            for i in rows:
-                if float(np.max(np.abs(u[i]))) <= 1e-4:
-                    u[i] = u[i] * (st.eps / prev_eps)
-        prev_eps = st.eps
-        batch = newton_solve(tuple(specs[i] for i in rows), st, grid, u[rows], max_iter, max_trials)
+        start = u[rows]
+        if k:
+            # the previous rung's core slopes are 10-30 times too steep for
+            # this (p, eps), and from them Newton crawls on short steps
+            start = _carry_core_flux(start, np.array([histories[i][-1].z for i in rows]), st, grid.spacing)
+        batch = newton_solve(tuple(specs[i] for i in rows), st, grid, start, max_iter, max_trials)
         climbing = []
         for i, sol in zip(rows, batch.results):
             if isinstance(sol, NonConvergence):
