@@ -39,7 +39,7 @@ from .verify import (GridMismatch, Tolerances, VerificationReport,
                      pointwise_residual, sampled_explicit, verify)
 from .geometry import DomainSpec, cheeger_bounds, smallness_check, sobolev_constant_limit
 from .solver import (
-    DEFAULT_SCHEDULE,
+    LADDER,
     NonConvergence,
     ProblemSpec,
     RadialGrid,
@@ -211,7 +211,7 @@ def cmd_solve(args) -> int:
     base = _resolve(args.output, f"solve_{args.domain}{args.dim}_lam{args.lam:g}_M{args.mesh}")
     failed_rung = None
     try:
-        sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+        sol = continuation_solve(spec, grid)
     except NonConvergence as exc:
         print(f"continuation {exc.last.stop_reason} at rung {exc.rung}: {exc}", file=sys.stderr)
         sol, failed_rung = exc.last, exc.rung
@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
     grids = {m: RadialGrid.uniform(spec.domain, m) for m in {r.u.size - 1 for r in sol.history}}
     meta = {
         "generator": "solver",
-        "schedule": {"preset": "default", "rungs": [[s.p, s.n, s.eps] for s in DEFAULT_SCHEDULE.states]},
+        "schedule": {"preset": "default", "rungs": [[s.p, s.n, s.eps] for s in LADDER]},
         "converged": sol.converged,
         "stop_reason": sol.stop_reason,
         "residual_norm": end.residual_norm,
@@ -329,7 +329,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = RadialGrid.uniform(domain, args.mesh)
         specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
-        results = continuation_solve(specs, DEFAULT_SCHEDULE, grid)
+        results = continuation_solve(specs, grid)
         failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
         for lam, sol in failed:
             print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)

@@ -6,13 +6,14 @@ on each rung is the p-Laplacian surrogate with truncated absorption,
     -div(|Du|^(p-2) Du) + h_n(u) |Du|^p = T_n(g),   u = 0 on the boundary,
 
 on a uniform radial grid over [0, R], with the gradient norm smoothed through
-eps: phi(s) = (s^2 + eps^2)^((p-2)/2) s.  A continuation schedule drives
-p -> 1, n -> infinity, eps -> 0, warm-starting each rung from the core flux
-of the last.  Fluxes live on cell midpoints; the divergence is the
-finite-volume balance over the cell [r_{i-1/2}, r_{i+1/2}] with exact cell
-averages of r^(N-1), so a linear-in-r flux field has exactly constant
-discrete divergence.  Each rung is solved by a damped Newton iteration on
-the exact tridiagonal Jacobian.
+eps: phi(s) = (s^2 + eps^2)^((p-2)/2) s.  One fixed ladder of rungs,
+`LADDER`, drives p -> 1, n -> infinity, eps -> 0, warm-starting each rung
+from the core flux of the last.  Fluxes live on cell midpoints; the
+divergence is the finite-volume balance over the cell
+[r_{i-1/2}, r_{i+1/2}] with exact cell averages of r^(N-1), so a
+linear-in-r flux field has exactly constant discrete divergence.  Each
+rung is solved by a damped Newton iteration on the exact tridiagonal
+Jacobian.
 
 Deep rungs sit at the edge of what float64 can represent: the flux slope
 d(phi)/d(slope) reaches 1/eps on the plateau, so moving a nodal value by one
@@ -42,7 +43,6 @@ __all__ = [
     "RegularizationState",
     "RadialGrid",
     "DiscreteSolution",
-    "ContinuationSchedule",
     "AprioriReport",
     "NonConvergence",
     "BatchSolution",
@@ -56,7 +56,7 @@ __all__ = [
     "plateau_extent",
     "gradient_mass",
     "apriori_bounds_report",
-    "DEFAULT_SCHEDULE",
+    "LADDER",
 ]
 
 SourceTerm = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -213,26 +213,6 @@ class DiscreteSolution:
     @property
     def converged(self) -> bool:
         return self.stop_reason not in _FAILED
-
-
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """The rungs of a continuation ladder, in the order they are solved."""
-
-    states: tuple
-
-    def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("schedule needs at least one rung")
-        object.__setattr__(self, "states", states)
-        for a, b in zip(states, states[1:]):
-            if not b.p < a.p:
-                raise ValueError("schedule must decrease p strictly")
-            if b.n < a.n:
-                raise ValueError("schedule must not decrease n")
-            if b.eps > a.eps:
-                raise ValueError("schedule must not increase eps")
 
 
 def regularized_flux(s, p: float, eps: float):
@@ -534,7 +514,7 @@ def _flapack():
     return module
 
 
-def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in banded form ab (shape (3, M),
     ab[1 + i - j, j] = a[i, j]) for the float64 right-hand side b.
 
@@ -544,8 +524,6 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     wrapper is loaded at the first call, so no command imports scipy.linalg.
     A zero pivot raises LinAlgError("singular matrix").
     """
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"only tridiagonal systems, (l, u) = (1, 1), are supported, got {l_and_u!r}")
     # dgtsv works on copies, so ab stays intact for _newton_steps' fallback;
     # letting it overwrite b as well saves a copy, but on the solve-fine
     # benchmark workload that raised peak memory by about 3 MB
@@ -569,7 +547,7 @@ def _newton_steps(ab: np.ndarray, residual: np.ndarray):
     fail.  Returns the steps and a {row: "singular" or "non_finite"} map."""
     k, m = residual.shape
     try:
-        step = solve_banded((1, 1), ab, -residual.ravel()).reshape(k, m)
+        step = solve_banded(ab, -residual.ravel()).reshape(k, m)
         if np.isfinite(step).all():
             return step, {}
     except np.linalg.LinAlgError:
@@ -579,7 +557,7 @@ def _newton_steps(ab: np.ndarray, residual: np.ndarray):
     failed = {}
     for j in range(k):
         try:
-            step[j] = solve_banded((1, 1), blocks[:, j], -residual[j])
+            step[j] = solve_banded(blocks[:, j], -residual[j])
         except np.linalg.LinAlgError:
             failed[j] = "singular"
             continue
@@ -825,14 +803,11 @@ _NESTED_MAX_ITER = 20
 _NESTED_MAX_TRIALS = 8
 
 
-def _meshes(m: int, schedule: ContinuationSchedule) -> tuple:
-    """The mesh sizes a continuation on m cells climbs, coarsest first: m
-    alone unless the ladder has rungs on both sides of p = _DEEP_P."""
-    deep = sum(st.p <= _DEEP_P for st in schedule.states)
+def _meshes(m: int) -> tuple:
+    """The mesh sizes a continuation on m cells climbs, coarsest first."""
     meshes = [m]
-    if 0 < deep < len(schedule.states):
-        while meshes[-1] // _SEQUENCE_FACTOR >= _SEQUENCE_FLOOR:
-            meshes.append(meshes[-1] // _SEQUENCE_FACTOR)
+    while meshes[-1] // _SEQUENCE_FACTOR >= _SEQUENCE_FLOOR:
+        meshes.append(meshes[-1] // _SEQUENCE_FACTOR)
     return tuple(reversed(meshes))
 
 
@@ -888,22 +863,23 @@ def _carry_core_flux(u: np.ndarray, z: np.ndarray, state: RegularizationState, d
     return start
 
 
-def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np.ndarray,
+def _climb(specs: tuple, rungs: tuple, grid: RadialGrid, u: np.ndarray,
            max_iter: int = _MAX_ITER, max_trials: int = _MAX_TRIALS) -> list:
-    """Climb the schedule on one grid from the states u, shape (K, M+1),
-    warm-starting each rung: one batched `newton_solve` per rung, of at most
-    max_iter iterations whose line searches take at most max_trials trials.
-    A row of u is overwritten by each rung its strength converges, so a
-    strength that fails its first rung leaves its start in u.  Before every
-    rung but the first, each climbing row carries its previous rung's core
-    flux into the new rung's slopes (`_carry_core_flux`).  Returns, in
+    """Climb the rungs, a tuple of RegularizationStates, in order on one
+    grid from the states u, shape (K, M+1), warm-starting each rung: one
+    batched `newton_solve` per rung, of at most max_iter iterations whose
+    line searches take at most max_trials trials.  A row of u is
+    overwritten by each rung its strength converges, so a strength that
+    fails its first rung leaves its start in u.  Before every rung but the
+    first, each climbing row carries its previous rung's core flux into the
+    new rung's slopes (`_carry_core_flux`).  Returns, in
     input order, each strength's final solution, whose `history` holds its
     rungs of this climb, or the NonConvergence, with its `rung` set and its
     `last.history` running through that rung, that stopped it."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
-    for k, st in enumerate(schedule.states):
+    for k, st in enumerate(rungs):
         start = u[rows]
         if k:
             # the previous rung's core slopes are 10-30 times too steep for
@@ -928,27 +904,26 @@ def _climb(specs: tuple, schedule: ContinuationSchedule, grid: RadialGrid, u: np
     return results
 
 
-def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
-    """Solve the schedule in order, warm-starting each rung, and return the
-    final rung's solution, whose `history` holds every rung's solution in
-    the order they were solved (that of a stall's NonConvergence.last ends
-    with the stalled rung).
+def continuation_solve(spec, grid: RadialGrid):
+    """Climb LADDER in order, warm-starting each rung, and return the final
+    rung's solution, whose `history` holds every rung's solution in the
+    order they were solved (that of a stall's NonConvergence.last ends with
+    the stalled rung).
 
-    On a fine grid the ladder is grid-sequenced (see `_meshes`): the
-    coarsest mesh climbs the whole schedule, and each finer one, up to the
-    grid's own, starts from the coarser end states, linearly interpolated
-    onto its nodes, and solves only the schedule's last rung, with at most
-    _NESTED_MAX_ITER (20) Newton iterations and line searches of at most
-    _NESTED_MAX_TRIALS (8) trials (nested iteration), where a rung of a
-    climb gets _MAX_ITER (200) and _MAX_TRIALS (50).  A strength that fails
-    this attempt climbs the rungs with p <= 1.0001 on that mesh from the
-    same start.  `history` then lists the coarse ladder, then each finer
-    mesh's last rung or tail, the last entry on the grid; a rung's mesh is
-    `u.size - 1`.  A failed attempt leaves no rung, so its iterations are
-    in no `history` entry.  A strength that fails a tail climbs the whole
-    schedule again on the grid from zero, so a failure, its rung and its
-    history are those of a climb on the grid alone.  A ladder whose rungs all lie on one side of p = 1.0001, and any
-    grid under 1200 cells, climb one mesh.
+    On a grid of 1200 cells or more the ladder is grid-sequenced (see
+    `_meshes`): the coarsest mesh climbs the whole ladder, and each finer
+    one, up to the grid's own, starts from the coarser end states, linearly
+    interpolated onto its nodes, and solves only the last rung, with at
+    most _NESTED_MAX_ITER (20) Newton iterations and line searches of at
+    most _NESTED_MAX_TRIALS (8) trials (nested iteration), where a rung of
+    a climb gets _MAX_ITER (200) and _MAX_TRIALS (50).  A strength that
+    fails this attempt climbs the deep tail, the rungs with p <= 1.0001, on
+    that mesh from the same start.  `history` then lists the coarse ladder,
+    then each finer mesh's last rung or tail, the last entry on the grid; a
+    rung's mesh is `u.size - 1`.  A failed attempt leaves no rung, so its
+    iterations are in no `history` entry.  A strength that fails a tail
+    climbs the whole ladder again on the grid from zero, so a failure, its
+    rung and its history are those of a climb on the grid alone.
 
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb each mesh together, one batched `newton_solve` per rung, and the
@@ -958,11 +933,9 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     NonConvergence raised.
     """
     specs = _strengths(spec)
-    meshes = _meshes(grid.mesh_size, schedule)
+    meshes = _meshes(grid.mesh_size)
     results = [None] * len(specs)
     if len(meshes) > 1:
-        last = ContinuationSchedule(schedule.states[-1:])
-        tail = ContinuationSchedule(tuple(st for st in schedule.states if st.p <= _DEEP_P))
         rows = list(range(len(specs)))  # strengths still sequenced
         earlier = [() for _ in specs]  # their rungs on the coarser meshes
         u = np.zeros((len(specs), meshes[0] + 1))
@@ -972,15 +945,15 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
                 break
             fine = grid if m == grid.mesh_size else RadialGrid(grid.dim, grid.radius, m)
             if coarse is None:
-                out = _climb(tuple(specs[i] for i in rows), schedule, fine, u)
+                out = _climb(tuple(specs[i] for i in rows), LADDER, fine, u)
             else:
                 u = np.array([np.interp(fine.nodes, coarse.nodes, v) for v in u])
                 u[:, -1] = 0.0  # the boundary node, exactly
-                out = _climb(tuple(specs[i] for i in rows), last, fine, u, _NESTED_MAX_ITER, _NESTED_MAX_TRIALS)
+                out = _climb(tuple(specs[i] for i in rows), LADDER[-1:], fine, u, _NESTED_MAX_ITER, _NESTED_MAX_TRIALS)
                 # a failed attempt left its start in u
                 retry = [j for j, sol in enumerate(out) if isinstance(sol, NonConvergence)]
                 if retry:
-                    for j, sol in zip(retry, _climb(tuple(specs[rows[j]] for j in retry), tail, fine, u[retry])):
+                    for j, sol in zip(retry, _climb(tuple(specs[rows[j]] for j in retry), _TAIL, fine, u[retry])):
                         out[j] = sol
             kept = [j for j, sol in enumerate(out) if not isinstance(sol, NonConvergence)]
             for j in kept:
@@ -993,7 +966,7 @@ def continuation_solve(spec, schedule: ContinuationSchedule, grid: RadialGrid):
     again = [i for i, sol in enumerate(results) if sol is None]
     if again:
         u = np.zeros((len(again), grid.mesh_size + 1))
-        for i, sol in zip(again, _climb(tuple(specs[i] for i in again), schedule, grid, u)):
+        for i, sol in zip(again, _climb(tuple(specs[i] for i in again), LADDER, grid, u)):
             results[i] = sol
     if isinstance(spec, ProblemSpec):
         return _one(results[0])
@@ -1048,16 +1021,18 @@ def apriori_bounds_report(
 # (p-1) below mesh resolution, which the rigidity and plateau tests rely on;
 # the eps floor keeps plateau slopes two decades under the slope floor used
 # for plateau detection while staying coarse enough that float64 can still
-# resolve the plateau flux profile.
-DEFAULT_SCHEDULE = ContinuationSchedule(
-    tuple(
-        RegularizationState(
-            p=p,
-            n=min(100 * 10**k, 1_000_000),
-            eps=min(max((p - 1.0) ** 2, 1e-8), 1e-3),
-        )
-        for k, p in enumerate(
-            (1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001, 1.00003, 1.00001, 1.000003, 1.000001)
-        )
+# resolve the plateau flux profile.  `continuation_solve` climbs this ladder
+# and no other.
+LADDER = tuple(
+    RegularizationState(
+        p=p,
+        n=min(100 * 10**k, 1_000_000),
+        eps=min(max((p - 1.0) ** 2, 1e-8), 1e-3),
+    )
+    for k, p in enumerate(
+        (1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001, 1.00003, 1.00001, 1.000003, 1.000001)
     )
 )
+# the deep tail, which a strength climbs on a finer mesh when its nested
+# attempt at the last rung fails
+_TAIL = tuple(st for st in LADDER if st.p <= _DEEP_P)

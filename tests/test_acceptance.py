@@ -24,7 +24,7 @@ from onelap.scalar import (absorption_exact, absorption_primitive,
                            absorption_truncated, remainder,
                            root_absorption_primitive,
                            root_primitive_unbounded, truncate)
-from onelap.solver import (DEFAULT_SCHEDULE, ProblemSpec, RadialGrid,
+from onelap.solver import (ProblemSpec, RadialGrid,
                            RegularizationState, apriori_bounds_report,
                            assemble_residual, assemble_system,
                            continuation_solve, plateau_extent)
@@ -38,7 +38,7 @@ def interval_solve():
     spec = ProblemSpec(dom, gamma=1.0, source=4.0)
     grid = RadialGrid.uniform(dom, 4000)
     t0 = perf_counter()
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     return spec, grid, sol, perf_counter() - t0
 
 
@@ -53,7 +53,7 @@ def rigidity_scan():
         dom = DomainSpec(kind, dim)
         spec = ProblemSpec(dom, gamma=1.0, source=lam)
         grid = RadialGrid.uniform(dom, mesh)
-        sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+        sol = continuation_solve(spec, grid)
         runs.append((spec, grid, sol))
     return runs, perf_counter() - t0
 

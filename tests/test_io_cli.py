@@ -22,7 +22,7 @@ from pytest import approx
 
 from onelap import cli, io, solver
 from onelap.geometry import DomainSpec
-from onelap.solver import DEFAULT_SCHEDULE, ProblemSpec, RadialGrid, continuation_solve
+from onelap.solver import ProblemSpec, RadialGrid, continuation_solve
 from onelap.verify import Tolerances, verify
 
 
@@ -391,7 +391,7 @@ def test_sweep_solver_batch_matches_single_solves(tmp_path):
     r = np.abs(table["x"])
     for lam in (1.5, 3.0, 5.0, 7.0):
         spec = ProblemSpec(domain, gamma=1.0, source=lam)
-        sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+        sol = continuation_solve(spec, grid)
         assert np.array_equal(table[f"u_lam{lam:g}"], np.interp(r, grid.nodes, sol.u))
         assert np.array_equal(table[f"res_lam{lam:g}"], np.interp(r, grid.nodes, np.append(sol.residual, 0.0)))
         want = io.write_json(tmp_path / "want.json", cli._report_payload(verify(sol, spec, grid, Tolerances.for_solver())))
@@ -435,12 +435,33 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     # each rung's kernel evaluations, as the solver counted them, and the
     # arrays of the last converged rung
     with pytest.raises(solver.NonConvergence) as exc:
-        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), DEFAULT_SCHEDULE, grid)
+        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), grid)
     history = exc.value.last.history
     assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in history]
     assert rec.u.tobytes() == history[-2].u.tobytes()
     assert rec.flux_z.tobytes() == history[-2].z.tobytes()
     assert rec.residual[:-1].tobytes() == history[-2].residual.tobytes()
+
+
+def test_solve_stalled_at_rung_0_writes_the_failed_iterate(tmp_path, capsys):
+    # dim 1 at gamma = 0.3 and lam = 8 on 200 cells runs out of Newton
+    # iterations on the first rung: with no converged rung before it, the
+    # bundle holds the failed iterate, which verify rejects
+    rc = cli.main(["solve", "--dim", "1", "--lambda", "8", "--gamma", "0.3", "--mesh", "200",
+                   "--output", str(tmp_path / "stall")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "continuation stalled at rung 0: Newton stalled at residual 7.751e+00 (p=1.5, n=100, eps=0.001)"]
+    meta = io.read_json(tmp_path / "stall.meta.json")
+    assert (meta["failed_rung"], meta["converged"], meta["stop_reason"]) == (0, False, "stalled")
+    (rung,) = meta["rungs"]
+    assert (rung["iterations"], rung["stop_reason"], rung["mesh"]) == (solver._MAX_ITER, "stalled", 200)
+    assert rung["residual_norm"] == meta["residual_norm"]
+    dom = DomainSpec("ball", 1)
+    with pytest.raises(solver.NonConvergence) as exc:
+        continuation_solve(ProblemSpec(dom, 0.3, 8.0), RadialGrid.uniform(dom, 200))
+    assert io.read_solution(tmp_path / "stall").u.tobytes() == exc.value.last.u.tobytes()
+    assert cli.main(["verify", "--input", str(tmp_path / "stall")]) == 1
 
 
 def _singular_at(lam, mesh, monkeypatch):
@@ -449,10 +470,10 @@ def _singular_at(lam, mesh, monkeypatch):
     every system when lam is None."""
     real = solver.solve_banded
 
-    def fake(lu, ab, b):
+    def fake(ab, b):
         if lam is None or np.any(b.reshape(-1, mesh)[:, 0] == lam):
             raise np.linalg.LinAlgError("singular matrix")
-        return real(lu, ab, b)
+        return real(ab, b)
 
     monkeypatch.setattr(solver, "solve_banded", fake)
 
@@ -491,10 +512,10 @@ def test_solve_singular_at_a_later_rung_writes_the_rung_before(tmp_path, capsys,
         rung_p.append(state.p)
         return real_system(spec, state, grid, u, pieces=pieces)
 
-    def solve(lu, ab, b):
+    def solve(ab, b):
         if rung_p[-1] == 1.1:
             raise np.linalg.LinAlgError("singular matrix")
-        return real_solve(lu, ab, b)
+        return real_solve(ab, b)
 
     monkeypatch.setattr(solver, "assemble_system", system)
     monkeypatch.setattr(solver, "solve_banded", solve)
@@ -506,7 +527,7 @@ def test_solve_singular_at_a_later_rung_writes_the_rung_before(tmp_path, capsys,
     assert (meta["stop_reason"], meta["converged"], meta["failed_rung"]) == ("singular", False, 2)
     assert [r["stop_reason"] for r in meta["rungs"]][2:] == ["singular"]
     with pytest.raises(solver.NonConvergence) as exc:
-        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0), DEFAULT_SCHEDULE,
+        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0),
                            RadialGrid.uniform(DomainSpec("interval", 1), 100))
     history = exc.value.last.history
     assert [h.stop_reason for h in history][2:] == ["singular"] and history[2].iterations == 0
@@ -596,7 +617,7 @@ def test_mistyped_config_is_bad_input(tmp_path, capsys, config):
     (["sweep", "--lambdas", "4"], {"mode": "solverr"}, "config 'mode' must be one of ['oracle', 'solver'], got 'solverr'"),
     (["cheeger"], [1, 2], "config must be a JSON object"),
     (["solve", "--lambda", "4"], {"schedule": "fast"}, "schedule"),  # no preset is named by config
-    # nor is a ladder: solve and sweep climb DEFAULT_SCHEDULE only
+    # nor is a ladder: solve and sweep climb solver.LADDER only
     *[(argv, {key: value}, key)
       for argv in (["solve", "--lambda", "4"], ["sweep", "--mode", "solver", "--lambdas", "4"])
       for key, value in (("rungs", [[1.5, 100, 0.001]]), ("newton_tol", 1e-8), ("step_tol", 0.0), ("max_iter", 5))],

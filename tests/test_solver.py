@@ -1,7 +1,7 @@
 """Discretization, Newton iteration, and the continuation driver."""
 
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ import pytest
 from onelap import solver
 from onelap.oracle import profile
 from onelap.solver import (
-    DEFAULT_SCHEDULE,
-    ContinuationSchedule,
+    LADDER,
     DomainSpec,
     NonConvergence,
     ProblemSpec,
@@ -116,30 +115,18 @@ def test_grid_keeps_subnormal_weights():
     assert 0.0 < grid.midpoint_weights[0] < np.finfo(float).tiny
 
 
-def test_schedule_validation():
-    good = _state(p=1.4)
-    with pytest.raises(ValueError):
-        ContinuationSchedule(())
-    with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.4)))  # p must drop
-    with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.2, n=50)))  # n drops
-    with pytest.raises(ValueError):
-        ContinuationSchedule((good, _state(p=1.2, eps=1e-3)))  # eps grows
-
-
 def test_default_schedule():
     # the one ladder: its rungs are written into every solve bundle, so they
     # are pinned exactly
-    states = DEFAULT_SCHEDULE.states
-    assert [st.p for st in states] == [1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001,
+    assert [st.p for st in LADDER] == [1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001,
                                        1.00003, 1.00001, 1.000003, 1.000001]
-    assert [st.n for st in states] == [100, 1000, 10_000, 100_000] + [1_000_000] * 9
-    assert [st.eps for st in states] == [min(max((st.p - 1.0) ** 2, 1e-8), 1e-3) for st in states]
-    assert states[0].eps == 1e-3 and states[-1].eps == 1e-8
-    # a schedule is its rungs; Newton's stopping rule and budgets are the
-    # solver's own constants
-    assert [f.name for f in fields(DEFAULT_SCHEDULE)] == ["states"]
+    assert [st.n for st in LADDER] == [100, 1000, 10_000, 100_000] + [1_000_000] * 9
+    assert [st.eps for st in LADDER] == [min(max((st.p - 1.0) ** 2, 1e-8), 1e-3) for st in LADDER]
+    assert LADDER[0].eps == 1e-3 and LADDER[-1].eps == 1e-8
+    # p strictly falls, n never falls, eps never grows
+    assert all(b.p < a.p and b.n >= a.n and b.eps <= a.eps for a, b in zip(LADDER, LADDER[1:]))
+    assert solver._TAIL == LADDER[8:] and LADDER[7].p > solver._DEEP_P >= LADDER[8].p
+    # Newton's stopping rule and budgets are the solver's own constants
     assert (solver._NEWTON_TOL, solver._STEP_TOL, solver._MAX_ITER, solver._MAX_TRIALS) == (1e-9, 1e-12, 200, 50)
 
 
@@ -274,14 +261,13 @@ def test_newton_determinism():
 # ----------------------------------------------------------- continuation
 
 def test_continuation_attaches_failing_rung():
-    # the ladder's p = 1.0001 rung solved cold: from u = 0 Newton runs out of
-    # its iterations on the first and only rung
-    grid = RadialGrid.uniform(INTERVAL, 64)
-    spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sched = ContinuationSchedule(DEFAULT_SCHEDULE.states[8:9])
-    assert sched.states[0].p == 1.0001
+    # dim 1 at gamma = 0.3 and lam = 8 on 200 cells: from u = 0 Newton runs
+    # out of its iterations on the first rung
+    dom = DomainSpec("ball", 1, 1.0)
+    grid = RadialGrid.uniform(dom, 200)
+    spec = ProblemSpec(dom, gamma=0.3, source=8.0)
     with pytest.raises(NonConvergence) as info:
-        continuation_solve(spec, sched, grid)
+        continuation_solve(spec, grid)
     assert info.value.rung == 0
     last = info.value.last
     assert last is not None and not last.converged
@@ -291,9 +277,9 @@ def test_continuation_attaches_failing_rung():
 def test_continuation_history_and_plateau():
     grid = RadialGrid.uniform(INTERVAL, 400)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     assert sol.converged
-    assert [h.state for h in sol.history] == list(DEFAULT_SCHEDULE.states)
+    assert [h.state for h in sol.history] == list(LADDER)
     sups = [float(np.max(np.abs(h.u))) for h in sol.history]
     assert sups[-1] == pytest.approx(float(np.max(sol.u)), rel=1e-12)
     assert sups[-1] == pytest.approx(1.0 - np.exp(-3.0), abs=5e-3)
@@ -305,7 +291,7 @@ def test_continuation_history_and_plateau():
 def test_trivial_regime_collapses_to_dust():
     grid = RadialGrid.uniform(INTERVAL, 500)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=0.5)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     assert float(np.max(np.abs(sol.u))) <= 1e-6
     assert plateau_extent(grid, sol.history[-1].u) == 1.0
 
@@ -332,15 +318,14 @@ def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
     # own solve, the stalled one included
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, mesh)
-    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in lams]
-    batch = continuation_solve(specs, sched, grid)
+    batch = continuation_solve(specs, grid)
     assert len(batch) == len(specs)
     stalled = []
     lam, rung, how = stall
     for spec, got in zip(specs, batch):
         try:
-            want = continuation_solve(spec, sched, grid)
+            want = continuation_solve(spec, grid)
         except NonConvergence as exc:
             stalled.append(spec.source)
             assert isinstance(got, NonConvergence) and got.rung == exc.rung == rung
@@ -352,7 +337,7 @@ def test_batched_continuation_matches_single_solves(dim, mesh, lams, stall):
             else:
                 assert got.iterations < solver._MAX_ITER
         else:
-            assert len(got.history) == len(sched.states)
+            assert len(got.history) == len(LADDER)
         _assert_same_climb(got, want)
     # the stall branch above really ran
     assert stalled == [lam]
@@ -374,21 +359,15 @@ def _rung_meshes(sol):
 
 
 def test_grid_sequencing_mesh_rule():
-    default = DEFAULT_SCHEDULE
-    shallow = ContinuationSchedule(tuple(st for st in default.states if st.p > 1.0001))
-    deep = ContinuationSchedule(tuple(st for st in default.states if st.p <= 1.0001))
-    assert solver._meshes(1199, default) == (1199,)
-    assert solver._meshes(1200, default) == (300, 1200)
-    assert solver._meshes(3999, default) == (999, 3999)
-    assert solver._meshes(4000, default) == (1000, 4000)
-    assert solver._meshes(20000, default) == (312, 1250, 5000, 20000)
-    # a custom ladder with no rung on one side of p = 1.0001 climbs one mesh
-    assert solver._meshes(20000, shallow) == (20000,)
-    assert solver._meshes(20000, deep) == (20000,)
+    assert solver._meshes(1199) == (1199,)
+    assert solver._meshes(1200) == (300, 1200)
+    assert solver._meshes(3999) == (999, 3999)
+    assert solver._meshes(4000) == (1000, 4000)
+    assert solver._meshes(20000) == (312, 1250, 5000, 20000)
     dom = DomainSpec("ball", 1, 1.0)
-    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 2000))
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), RadialGrid.uniform(dom, 2000))
     assert _rung_meshes(sol) == [500] * 13 + [2000]
-    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), default, RadialGrid.uniform(dom, 1000))
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=4.0), RadialGrid.uniform(dom, 1000))
     assert _rung_meshes(sol) == [1000] * 13
 
 
@@ -398,20 +377,19 @@ def test_sequenced_batch_matches_single_solves():
     # ladder again at M from zero and stalls there at rung 5
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 4000)
-    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 12.0)]
-    done, stalled = continuation_solve(specs, sched, grid)
+    done, stalled = continuation_solve(specs, grid)
     assert _rung_meshes(done) == [1000] * 13 + [4000]
-    assert [h.state for h in done.history] == list(sched.states) + [sched.states[-1]]
+    assert [h.state for h in done.history] == list(LADDER) + [LADDER[-1]]
     assert isinstance(stalled, NonConvergence) and stalled.rung == 5
     assert _rung_meshes(stalled.last) == [4000] * 6
     # the fallback is the climb on the grid alone
-    alone = solver._climb((specs[1],), sched, grid, np.zeros((1, 4001)))[0]
+    alone = solver._climb((specs[1],), LADDER, grid, np.zeros((1, 4001)))[0]
     assert alone.rung == stalled.rung
     _assert_same_climb(stalled.last, alone.last)
     for spec, got in zip(specs, (done, stalled)):
         try:
-            want = continuation_solve(spec, sched, grid)
+            want = continuation_solve(spec, grid)
         except NonConvergence as exc:
             assert exc.rung == got.rung
             got, want = got.last, exc.last
@@ -425,9 +403,9 @@ def test_whole_ladder_fallback_rescues_a_coarse_stall():
     dom = DomainSpec("ball", 2, 1.0)
     grid = RadialGrid.uniform(dom, 1200)
     spec = ProblemSpec(dom, gamma=1.0, source=12.5)
-    coarse = solver._climb((spec,), DEFAULT_SCHEDULE, RadialGrid(2, 1.0, 300), np.zeros((1, 301)))[0]
+    coarse = solver._climb((spec,), LADDER, RadialGrid(2, 1.0, 300), np.zeros((1, 301)))[0]
     assert isinstance(coarse, NonConvergence) and coarse.rung == 4
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     assert _rung_meshes(sol) == [1200] * 13
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
 
@@ -450,7 +428,7 @@ def test_sequenced_fine_mesh_converges_where_one_mesh_stalls(dim, lam):
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     assert _rung_meshes(sol) == _SEQUENCED_MESHES[dim, lam]
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
     assert float(np.max(np.abs(sol.u - profile(dim, lam, grid.nodes)))) <= 5e-5
@@ -463,11 +441,10 @@ def test_nested_iteration_solves_only_the_last_rung_on_the_fine_mesh(dim, lam):
     # interpolated end state
     dom = DomainSpec("ball", dim, 1.0)
     grid = RadialGrid.uniform(dom, 8000)
-    sched = DEFAULT_SCHEDULE
     spec = ProblemSpec(dom, gamma=1.0, source=lam)
-    sol = continuation_solve(spec, sched, grid)
+    sol = continuation_solve(spec, grid)
     assert _rung_meshes(sol) == [500] * 13 + [2000] + [8000]
-    assert [h.state for h in sol.history[-2:]] == [sched.states[-1]] * 2
+    assert [h.state for h in sol.history[-2:]] == [LADDER[-1]] * 2
     assert all(h.iterations <= solver._NESTED_MAX_ITER for h in sol.history[-2:])
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
 
@@ -486,14 +463,11 @@ def test_failed_nested_attempts_keep_the_tail_climb():
     # from the interpolated start, bit for bit as if no attempt had run
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
-    sched = DEFAULT_SCHEDULE
-    last = ContinuationSchedule(sched.states[-1:])
-    tail = ContinuationSchedule(sched.states[8:])
-    assert all(st.p <= 1.0001 for st in tail.states) and sched.states[7].p > 1.0001
+    last, tail = LADDER[-1:], solver._TAIL
     spec = ProblemSpec(dom, gamma=1.0, source=6.0)
-    sol = continuation_solve(spec, sched, grid)
+    sol = continuation_solve(spec, grid)
     coarse = RadialGrid(1, 1.0, 312)
-    want = solver._climb((spec,), sched, coarse, np.zeros((1, 313)))[0]
+    want = solver._climb((spec,), LADDER, coarse, np.zeros((1, 313)))[0]
     history = want.history
     nested = (solver._NESTED_MAX_ITER, solver._NESTED_MAX_TRIALS)
     ladder = (solver._MAX_ITER, solver._MAX_TRIALS)
@@ -514,24 +488,24 @@ def test_nested_attempt_outside_the_basin_stalls_at_its_first_step(monkeypatch):
     calls = []
     climb = solver._climb
 
-    def recorded(specs, schedule, grid, u, *args):
+    def recorded(specs, rungs, grid, u, *args):
         start = u.copy()
-        out = climb(specs, schedule, grid, u, *args)
-        calls.append((grid, schedule, start, out[0]))
+        out = climb(specs, rungs, grid, u, *args)
+        calls.append((grid, rungs, start, out[0]))
         return out
 
     monkeypatch.setattr(solver, "_climb", recorded)
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, RadialGrid.uniform(INTERVAL, 20000))
+    sol = continuation_solve(spec, RadialGrid.uniform(INTERVAL, 20000))
     assert _rung_meshes(sol) == [312] * 13 + [1250] + [5000] * 5 + [20000]
     attempt, tail = [c for c in calls if c[0].mesh_size == 5000]
-    assert isinstance(attempt[3], NonConvergence) and len(attempt[1].states) == 1
+    assert isinstance(attempt[3], NonConvergence) and attempt[1] == LADDER[-1:]
     assert attempt[3].last.stop_reason == "stalled" and attempt[3].last.iterations == 1
     assert attempt[3].last.residual_evals <= 1 + solver._NESTED_MAX_TRIALS
     coarse = next(c for c in calls if c[0].mesh_size == 1250)
     start = _sequenced_start(coarse[0], attempt[0], coarse[3].u)
     assert np.array_equal(attempt[2], start) and np.array_equal(tail[2], start)
-    assert tail[1].states == DEFAULT_SCHEDULE.states[8:]
+    assert tail[1] == solver._TAIL
     _assert_same_climb(tail[3], climb((spec,), tail[1], tail[0], start)[0])
 
 
@@ -541,13 +515,12 @@ def test_nested_and_retried_strengths_batch_like_single_solves():
     # solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
-    sched = DEFAULT_SCHEDULE
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 6.0)]
-    batch = continuation_solve(specs, sched, grid)
+    batch = continuation_solve(specs, grid)
     assert [_rung_meshes(sol) for sol in batch] == [
         [312] * 13 + [1250] + [5000] + [20000], [312] * 13 + [1250] + [5000] * 5 + [20000] * 5]
     for spec, got in zip(specs, batch):
-        _assert_same_climb(got, continuation_solve(spec, sched, grid))
+        _assert_same_climb(got, continuation_solve(spec, grid))
 
 
 @pytest.mark.parametrize("lam, mesh", [(4.0, 200), (14.0, 500)])
@@ -564,8 +537,7 @@ def test_residual_evals_count_every_kernel_evaluation(monkeypatch, lam, mesh):
     monkeypatch.setattr(solver._Pieces, "evaluate", counted)
     dom = DomainSpec("ball", 1, 1.0)
     try:
-        sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=lam), DEFAULT_SCHEDULE,
-                                 RadialGrid.uniform(dom, mesh))
+        sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=lam), RadialGrid.uniform(dom, mesh))
     except NonConvergence as exc:
         sol = exc.last
     assert set(calls) == {1}
@@ -593,8 +565,7 @@ def test_newton_calls_the_assembly_through_the_module(monkeypatch):
 
     counted("assemble_residual")
     counted("assemble_system")
-    sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), DEFAULT_SCHEDULE,
-                             RadialGrid.uniform(INTERVAL, 200))
+    sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), RadialGrid.uniform(INTERVAL, 200))
     assert {h.stop_reason for h in sol.history} == {"residual", "stagnation", "float_floor"}
     assert calls["assemble_residual"] == sum(h.residual_evals - 1 for h in sol.history) == 66
     assert calls["assemble_system"] == sum(h.iterations + 1 for h in sol.history) == 74
@@ -604,8 +575,7 @@ def test_line_search_starts_from_the_last_accepted_step():
     # dim 1 at lam = 8 crawls at alpha ~ 2^-15 on its deep rungs; restarting
     # every search at alpha = 1 cost about six kernel evaluations per step
     dom = DomainSpec("ball", 1, 1.0)
-    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=8.0), DEFAULT_SCHEDULE,
-                             RadialGrid.uniform(dom, 1000))
+    sol = continuation_solve(ProblemSpec(dom, gamma=1.0, source=8.0), RadialGrid.uniform(dom, 1000))
     iterations = sum(h.iterations for h in sol.history)
     assert sum(h.residual_evals for h in sol.history) <= 2 * iterations
 
@@ -626,10 +596,10 @@ def test_warm_start_carries_the_core_flux(monkeypatch):
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 1000)
     spec = ProblemSpec(dom, gamma=1.0, source=4.0)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
-    k = [st.p for st in DEFAULT_SCHEDULE.states].index(1.01)
+    sol = continuation_solve(spec, grid)
+    k = [st.p for st in LADDER].index(1.01)
     state, start = starts[k]
-    assert state == DEFAULT_SCHEDULE.states[k]
+    assert state == LADDER[k]
     assert float(np.abs(assemble_residual(spec, state, grid, start[0])).max()) < 5.0
     prev = sol.history[k - 1]
     edge = int(np.argmax(np.abs(prev.z) >= solver._SATURATED))
@@ -655,7 +625,7 @@ def test_sweep_coarse_newton_iterations(monkeypatch):
                       (3, (3.5, 4, 5, 6, 7, 8, 9, 10))):
         dom = DomainSpec("ball", dim, 1.0)
         specs = [ProblemSpec(dom, gamma=1.0, source=float(lam)) for lam in lams]
-        sols = continuation_solve(specs, DEFAULT_SCHEDULE, RadialGrid.uniform(dom, 1000))
+        sols = continuation_solve(specs, RadialGrid.uniform(dom, 1000))
         assert not any(isinstance(sol, NonConvergence) for sol in sols)
     assert sum(iterations) == 305
 
@@ -727,7 +697,7 @@ def _certified(dim, mesh):
     grid = RadialGrid.uniform(dom, mesh)
     specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in _envelope_strengths(dim)]
     certified = set()
-    for spec, sol in zip(specs, continuation_solve(specs, DEFAULT_SCHEDULE, grid)):
+    for spec, sol in zip(specs, continuation_solve(specs, grid)):
         if not isinstance(sol, Exception) and verify(sol, spec, grid, Tolerances.for_solver()).passed:
             certified.add(round(spec.source, 9))
     return certified
@@ -791,7 +761,7 @@ def test_solve_banded_matches_scipy_bitwise(m, pivoting):
     assert np.count_nonzero(du2) == (m // 2 - 1 if pivoting else 0)
     want = scipy_solve_banded((1, 1), ab, b)
     kept = ab.copy()
-    got = solver.solve_banded((1, 1), ab, b)
+    got = solver.solve_banded(ab, b)
     assert got.tobytes() == want.tobytes()
     assert ab.tobytes() == kept.tobytes()  # the one-block-at-a-time fallback reuses ab
 
@@ -802,25 +772,18 @@ def test_solve_banded_matches_scipy_bitwise(m, pivoting):
     blocks[2, m - 1::m] = 0.0  # sub-diagonal entries that reach into the block below
     rhs = rng.standard_normal(3 * m)
     want = scipy_solve_banded((1, 1), blocks, rhs)
-    got = solver.solve_banded((1, 1), blocks, rhs)
+    got = solver.solve_banded(blocks, rhs)
     assert got.tobytes() == want.tobytes()
     for j in range(3):
-        one = solver.solve_banded((1, 1), blocks[:, j * m:(j + 1) * m], rhs[j * m:(j + 1) * m])
+        one = solver.solve_banded(blocks[:, j * m:(j + 1) * m], rhs[j * m:(j + 1) * m])
         assert one.tobytes() == got[j * m:(j + 1) * m].tobytes()
 
 
-def test_solve_banded_rejects_singular_and_non_tridiagonal_systems(monkeypatch):
+def test_solve_banded_rejects_a_singular_system():
     ab = np.ones((3, 8))
     ab[:, 3] = 0.0  # a zero column
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solver.solve_banded((1, 1), ab, np.ones(8))
-
-    def no_load():
-        raise AssertionError("loaded LAPACK before checking the bandwidths")
-
-    monkeypatch.setattr(solver, "_flapack", no_load)
-    with pytest.raises(ValueError, match="tridiagonal"):
-        solver.solve_banded((2, 1), np.ones((4, 8)), np.ones(8))
+        solver.solve_banded(ab, np.ones(8))
 
 
 @pytest.mark.parametrize("failure", ["singular", "non-finite"])
@@ -835,11 +798,11 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
     specs = [ProblemSpec(INTERVAL, gamma=1.0, source=lam) for lam in (2.0, 3.0, 4.0)]
     real = solver.solve_banded
 
-    def fake(lu, ab, b):
+    def fake(ab, b):
         bad = b.reshape(-1, 64)[:, 0] == 3.0
         if bad.any() and failure == "singular":
             raise np.linalg.LinAlgError("singular matrix")
-        x = real(lu, ab, b).reshape(-1, 64)
+        x = real(ab, b).reshape(-1, 64)
         x[bad] = np.nan
         return x.ravel()
 
@@ -860,8 +823,10 @@ def test_batched_newton_drops_a_broken_strength_alone(monkeypatch, failure):
         assert batch.results[k].iterations == want.iterations
     assert batch.iterations == max(batch.results[k].iterations for k in (0, 2))
     with pytest.raises(NonConvergence) as info:
-        continuation_solve(specs[1], ContinuationSchedule((st,)), grid)
-    assert info.value.rung == 0 and str(info.value) == str(broken)
+        continuation_solve(specs[1], grid)
+    # the same break at the ladder's rung 0
+    assert info.value.rung == 0
+    assert str(info.value) == f"{cause} at residual 3.000e+00 (p=1.5, n=100, eps=0.001)"
     assert [h.stop_reason for h in info.value.last.history] == [reason]
 
 
@@ -941,9 +906,9 @@ def test_solve_problem_front_door():
     # one ProblemSpec in, one solution out: the K = 1 batch, unwrapped
     spec = ProblemSpec(INTERVAL, gamma=1.0, source=4.0)
     grid = RadialGrid.uniform(INTERVAL, 200)
-    sol = continuation_solve(spec, DEFAULT_SCHEDULE, grid)
+    sol = continuation_solve(spec, grid)
     assert sol.converged and 0.9 < float(np.max(sol.u)) < 1.0
-    (batched,) = continuation_solve([spec], DEFAULT_SCHEDULE, grid)
+    (batched,) = continuation_solve([spec], grid)
     _assert_same_climb(sol, batched)
 
 
