@@ -34,8 +34,8 @@ from . import oracle
 from .geometry import (cheeger_bounds, sobolev_constant, sphere_area,
                        unit_ball_volume)
 from .scalar import absorption_exact, remainder
-from .solver import (DiscreteSolution, ProblemSpec, RadialGrid, _fv_divergence,
-                     plateau_extent)
+from .solver import (DiscreteSolution, ProblemSpec, RadialGrid, _centered_slopes,
+                     _fv_divergence, plateau_extent)
 
 __all__ = [
     "Tolerances",
@@ -138,16 +138,6 @@ def _unpack(candidate, grid: RadialGrid):
     return u, z
 
 
-def _centered_slopes(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Nodal slope estimates at nodes 0..M-1: averages of adjacent midpoint
-    slopes, zero at the origin by symmetry."""
-    D = np.diff(u) / grid.spacing
-    s = np.empty(grid.mesh_size)
-    s[0] = 0.0
-    s[1:] = 0.5 * (D[:-1] + D[1:])
-    return s
-
-
 def energy_identity_check(candidate, spec: ProblemSpec, grid: RadialGrid) -> float:
     """Relative gap in the identity int |Du|/(1-u) = lam int u, stated for
     gamma = 1 with a constant source."""
@@ -159,7 +149,8 @@ def energy_identity_check(candidate, spec: ProblemSpec, grid: RadialGrid) -> flo
         raise ValueError("state must stay strictly below 1")
     if float(np.max(np.abs(u))) <= ZERO_STATE_FLOOR:
         return 0.0
-    s = np.concatenate((_centered_slopes(grid, u), [(u[-1] - u[-2]) / grid.spacing]))
+    D = np.diff(u) / grid.spacing
+    s = np.concatenate((_centered_slopes(D), D[-1:]))
     density = np.abs(s) / (1.0 - np.clip(u, 0.0, None))
     lhs = _radial_integral(grid, density)
     rhs = lam * _radial_integral(grid, u)
@@ -197,7 +188,7 @@ def _defect_parts(u, z, spec: ProblemSpec, grid: RadialGrid):
     m = grid.mesh_size
     g = spec.source_values(grid.nodes)[:m]
     subunit = bool(np.all(u < 1.0))
-    s = _centered_slopes(grid, u)
+    s = _centered_slopes(np.diff(u) / grid.spacing)
     if subunit:
         absorb = np.abs(s) * absorption_exact(np.clip(u[:m], 0.0, None), spec.gamma)
     else:

@@ -399,28 +399,28 @@ def test_sweep_solver_batch_matches_single_solves(tmp_path):
 
 
 def test_sweep_names_only_the_stalled_strength(tmp_path, capsys):
-    # dim 1 at lam = 14 stalls at rung 7 on this mesh; lam = 4 converges
+    # dim 1 at lam = 14 stalls at rung 6 on this mesh; lam = 4 converges
     assert _sweep(tmp_path, "4,14", 500) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["lambda=14 stalled at rung 7"]
+    assert err.splitlines() == ["lambda=14 stalled at rung 6"]
     assert not (tmp_path / "sw.csv").exists()
     assert not (tmp_path / "sw_reports.json").exists()
 
 
 def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, capsys):
-    # dim 1 at lam = 14 stalls at rung 7 on this mesh: the bundle records the
-    # seven rungs it climbed and the stalled eighth, and holds the state of
-    # rung 6, the last that converged
+    # dim 1 at lam = 14 stalls at rung 6 on this mesh: the bundle records the
+    # six rungs it climbed and the stalled seventh, and holds the state of
+    # rung 5, the last that converged
     rc = cli.main(["solve", "--domain", "ball", "--dim", "1", "--lambda", "14", "--mesh", "500",
                    "--output", str(tmp_path / "stall")])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert err.startswith("continuation stalled at rung 7: Newton stalled")
+    assert err.startswith("continuation stalled at rung 6: Newton stalled")
     meta = io.read_json(tmp_path / "stall.meta.json")
-    assert meta["failed_rung"] == 7 and meta["converged"] is False
+    assert meta["failed_rung"] == 6 and meta["converged"] is False
     rungs = meta["rungs"]
-    assert len(rungs) == 8
-    assert [[r["p"], r["n"], r["eps"]] for r in rungs] == meta["schedule"]["rungs"][:8]
+    assert len(rungs) == 7
+    assert [[r["p"], r["n"], r["eps"]] for r in rungs] == meta["schedule"]["rungs"][:7]
     assert all(r["stop_reason"] in ("residual", "float_floor", "stagnation") for r in rungs[:-1])
     last = rungs[-1]
     assert last["stop_reason"] == meta["stop_reason"] == "stalled"
@@ -451,7 +451,7 @@ def test_solve_stalled_at_rung_0_writes_the_failed_iterate(tmp_path, capsys):
                    "--output", str(tmp_path / "stall")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
-        "continuation stalled at rung 0: Newton stalled at residual 7.751e+00 (p=1.5, n=100, eps=0.001)"]
+        "continuation stalled at rung 0: Newton stalled at residual 6.491e+00 (p=1.5, n=100, eps=0.001)"]
     meta = io.read_json(tmp_path / "stall.meta.json")
     assert (meta["failed_rung"], meta["converged"], meta["stop_reason"]) == (0, False, "stalled")
     (rung,) = meta["rungs"]
@@ -662,6 +662,8 @@ def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     (["oracle", "--dim", "400", "--lambda", "500", "--mesh", "64"], None),
     (["solve", "--dim", "200", "--lambda", "300", "--mesh", "64"], None),
     (["solve", "--dim", "150", "--radius", "200", "--lambda", "1", "--mesh", "64"], None),
+    # W_i dr^2, which divides the Jacobian's rows, underflows to 0
+    (["solve", "--radius", "1e-320", "--lambda", "4", "--mesh", "64"], None),
 ])
 def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     # JSON's Infinity reaches the code like the flag text "inf": both exit 1
@@ -692,8 +694,10 @@ def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
      "dim 100 on a mesh of 1000 cells of radius 1.0 puts the finite-volume weights out of float range"),
     (["solve", "--dim", "150", "--radius", "200", "--lambda", "1", "--mesh", "64"],
      "dim 150 on a mesh of 64 cells of radius 200.0 puts the finite-volume weights out of float range"),
+    (["solve", "--radius", "1e-320", "--lambda", "4", "--mesh", "64"],
+     "dim 1 on a mesh of 64 cells of radius 1e-320 puts the finite-volume weights out of float range"),
 ], ids=["cheeger-dim", "smallness-dim", "cheeger-tiny-radius", "cheeger-huge-radius", "grid-underflow",
-        "grid-overflow"])
+        "grid-overflow", "grid-tiny-radius"])
 def test_out_of_range_errors_name_the_input(capsys, argv, error):
     # an overflow or an underflow says which flag, at which value, caused it
     assert cli.main(argv) == 1
@@ -708,11 +712,11 @@ _SOLVER_KEYS = ["converged", "residual_norm", "rungs", "stop_reason"]
 
 @pytest.mark.parametrize("argv, config, rc, keys, lines", [
     (["solve", "--domain", "interval", "--lambda", "4", "--mesh", "200"], None, 0, _SOLVER_KEYS,
-     ["sup norm 0.9497630984266151, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass", "pass")]),
-    # stalls at rung 7 and writes rung 6; the mesh comes from the config file
+     ["sup norm 0.95019796451273375, plateau radius 0.25", _VERDICTS.format("pass", "pass", "pass", "pass")]),
+    # stalls at rung 6 and writes rung 5; the mesh comes from the config file
     (["solve", "--domain", "ball", "--dim", "1", "--lambda", "14"], {"mesh": 500}, 2, _SOLVER_KEYS + ["failed_rung"],
-     ["sup norm 0.99999878929182506, plateau radius 0.052000000000000005",
-      _VERDICTS.format("FAIL", "FAIL", "FAIL", "FAIL")]),
+     ["sup norm 0.99999768816405021, plateau radius 0.01",
+      _VERDICTS.format("FAIL", "FAIL", "FAIL", "pass")]),
     (["oracle", "--dim", "2", "--lambda", "4", "--mesh", "500"], None, 0, ["plateau_radius_exact"],
      [_VERDICTS.format("pass", "pass", "pass", "pass")]),
 ])

@@ -97,11 +97,13 @@ def test_grid_weights_telescope():
         )
 
 
-@pytest.mark.parametrize("dim, radius, mesh", [(100, 1.0, 1000), (400, 1.0, 64), (150, 200.0, 64)])
+@pytest.mark.parametrize("dim, radius, mesh", [(100, 1.0, 1000), (400, 1.0, 64), (150, 200.0, 64), (1, 1e-320, 64)])
 def test_grid_rejects_weights_out_of_float_range(dim, radius, mesh):
     # the innermost cell volume (dr/2)^N / N underflows to 0 at dims 100 and
-    # 400, and R^N overflows at dim 150 over radius 200; either would turn
-    # the divergence into NaN, so the grid refuses them without a warning
+    # 400, R^N overflows at dim 150 over radius 200, and the Jacobian's
+    # divisor W_i dr^2 underflows to 0 at radius 1e-320; any of these would
+    # turn the divergence or the Newton step into NaN, so the grid refuses
+    # them without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^dim {dim} on a mesh of {mesh} cells of radius {radius!r} "):
@@ -120,7 +122,7 @@ def test_default_schedule():
     # are pinned exactly
     assert [st.p for st in LADDER] == [1.5, 1.3, 1.1, 1.05, 1.01, 1.003, 1.001, 1.0003, 1.0001,
                                        1.00003, 1.00001, 1.000003, 1.000001]
-    assert [st.n for st in LADDER] == [100, 1000, 10_000, 100_000] + [1_000_000] * 9
+    assert [st.n for st in LADDER] == [100, 1000, 10_000, 100_000, 1_000_000, 10_000_000] + [100_000_000] * 7
     assert [st.eps for st in LADDER] == [min(max((st.p - 1.0) ** 2, 1e-8), 1e-3) for st in LADDER]
     assert LADDER[0].eps == 1e-3 and LADDER[-1].eps == 1e-8
     # p strictly falls, n never falls, eps never grows
@@ -305,9 +307,9 @@ def _rung_trace(sol):
     "dim, mesh, lams, stall",
     [
         # one strength on the trivial branch, one converging, one that stalls
-        # at rung 7 when it runs out of max_iter iterations
-        (1, 500, (0.5, 4.0, 14.0), (14.0, 7, "max_iter")),
-        # lam = 15 stalls at rung 3 after 40 iterations, when its line search
+        # at rung 6 when it runs out of max_iter iterations
+        (1, 500, (0.5, 4.0, 14.0), (14.0, 6, "max_iter")),
+        # lam = 15 stalls at rung 3 after 6 iterations, when its line search
         # meets a dead end: 50 trials and no decrease
         (1, 1000, (5.0, 15.0), (15.0, 3, "dead_end")),
     ],
@@ -373,16 +375,16 @@ def test_grid_sequencing_mesh_rule():
 
 def test_sequenced_batch_matches_single_solves():
     # at M = 4000 the ladder climbs M = 1000 first and solves the last rung
-    # again at M; lam = 12 stalls at M = 1000 (rung 4), climbs the whole
-    # ladder again at M from zero and stalls there at rung 5
+    # again at M; lam = 13 stalls at M = 1000 (rung 6), climbs the whole
+    # ladder again at M from zero and stalls there at rung 3
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 4000)
-    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 12.0)]
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 13.0)]
     done, stalled = continuation_solve(specs, grid)
     assert _rung_meshes(done) == [1000] * 13 + [4000]
     assert [h.state for h in done.history] == list(LADDER) + [LADDER[-1]]
-    assert isinstance(stalled, NonConvergence) and stalled.rung == 5
-    assert _rung_meshes(stalled.last) == [4000] * 6
+    assert isinstance(stalled, NonConvergence) and stalled.rung == 3
+    assert _rung_meshes(stalled.last) == [4000] * 4
     # the fallback is the climb on the grid alone
     alone = solver._climb((specs[1],), LADDER, grid, np.zeros((1, 4001)))[0]
     assert alone.rung == stalled.rung
@@ -397,26 +399,24 @@ def test_sequenced_batch_matches_single_solves():
 
 
 def test_whole_ladder_fallback_rescues_a_coarse_stall():
-    # dim 2 at lam = 12.5 stalls at rung 4 on the 300-cell coarse mesh of
+    # dim 1 at lam = 12 stalls at rung 4 on the 300-cell coarse mesh of
     # M = 1200; the whole ladder, climbed again on the 1200 cells from zero,
     # converges and passes
-    dom = DomainSpec("ball", 2, 1.0)
+    dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 1200)
-    spec = ProblemSpec(dom, gamma=1.0, source=12.5)
-    coarse = solver._climb((spec,), LADDER, RadialGrid(2, 1.0, 300), np.zeros((1, 301)))[0]
+    spec = ProblemSpec(dom, gamma=1.0, source=12.0)
+    coarse = solver._climb((spec,), LADDER, RadialGrid(1, 1.0, 300), np.zeros((1, 301)))[0]
     assert isinstance(coarse, NonConvergence) and coarse.rung == 4
     sol = continuation_solve(spec, grid)
     assert _rung_meshes(sol) == [1200] * 13
     assert verify(sol, spec, grid, Tolerances.for_solver()).passed
 
 
-# the rungs each finer mesh keeps at M = 20000: dim 2 at lam = 4 solves the
-# last rung alone on 1250, 5000 and 20000 cells; dim 1 at lam = 6 does so on
-# 1250 cells, fails that attempt on 5000 and 20000 and climbs the five rungs
-# with p <= 1.0001 there instead
+# the rungs each finer mesh keeps at M = 20000: dim 2 at lam = 4 and dim 1 at
+# lam = 6 solve the last rung alone on 1250, 5000 and 20000 cells
 _SEQUENCED_MESHES = {
     (2, 4.0): [312] * 13 + [1250] + [5000] + [20000],
-    (1, 6.0): [312] * 13 + [1250] + [5000] * 5 + [20000] * 5,
+    (1, 6.0): [312] * 13 + [1250] + [5000] + [20000],
 }
 
 
@@ -458,20 +458,20 @@ def _sequenced_start(coarse, fine, u):
 
 
 def test_failed_nested_attempts_keep_the_tail_climb():
-    # dim 1 at lam = 6 keeps the last-rung attempt on 1250 cells and fails it
-    # on 5000 and on 20000 cells; each of these then climbs the deep tail
-    # from the interpolated start, bit for bit as if no attempt had run
+    # dim 1 at lam = 4 keeps the last-rung attempt on 1250 and on 20000 cells
+    # and fails it on 5000 cells, which then climb the deep tail from the
+    # interpolated start, bit for bit as if no attempt had run
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
     last, tail = LADDER[-1:], solver._TAIL
-    spec = ProblemSpec(dom, gamma=1.0, source=6.0)
+    spec = ProblemSpec(dom, gamma=1.0, source=4.0)
     sol = continuation_solve(spec, grid)
     coarse = RadialGrid(1, 1.0, 312)
     want = solver._climb((spec,), LADDER, coarse, np.zeros((1, 313)))[0]
     history = want.history
     nested = (solver._NESTED_MAX_ITER, solver._NESTED_MAX_TRIALS)
     ladder = (solver._MAX_ITER, solver._MAX_TRIALS)
-    for m, rungs, budget in ((1250, last, nested), (5000, tail, ladder), (20000, tail, ladder)):
+    for m, rungs, budget in ((1250, last, nested), (5000, tail, ladder), (20000, last, nested)):
         fine = RadialGrid(1, 1.0, m)
         want = solver._climb((spec,), rungs, fine, _sequenced_start(coarse, fine, want.u), *budget)[0]
         history += want.history
@@ -510,15 +510,14 @@ def test_nested_attempt_outside_the_basin_stalls_at_its_first_step(monkeypatch):
 
 
 def test_nested_and_retried_strengths_batch_like_single_solves():
-    # at M = 20000 lam = 2 keeps the last-rung attempts and lam = 6 retries
-    # the tail on the two finest meshes; in one batch each equals its own
-    # solve
+    # at M = 20000 lam = 2 keeps the last-rung attempts and lam = 3 retries
+    # the tail on every finer mesh; in one batch each equals its own solve
     dom = DomainSpec("ball", 1, 1.0)
     grid = RadialGrid.uniform(dom, 20000)
-    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 6.0)]
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in (2.0, 3.0)]
     batch = continuation_solve(specs, grid)
     assert [_rung_meshes(sol) for sol in batch] == [
-        [312] * 13 + [1250] + [5000] + [20000], [312] * 13 + [1250] + [5000] * 5 + [20000] * 5]
+        [312] * 13 + [1250] + [5000] + [20000], [312] * 13 + [1250] * 5 + [5000] * 5 + [20000] * 5]
     for spec, got in zip(specs, batch):
         _assert_same_climb(got, continuation_solve(spec, grid))
 
@@ -567,8 +566,8 @@ def test_newton_calls_the_assembly_through_the_module(monkeypatch):
     counted("assemble_system")
     sol = continuation_solve(ProblemSpec(INTERVAL, gamma=1.0, source=4.0), RadialGrid.uniform(INTERVAL, 200))
     assert {h.stop_reason for h in sol.history} == {"residual", "stagnation", "float_floor"}
-    assert calls["assemble_residual"] == sum(h.residual_evals - 1 for h in sol.history) == 66
-    assert calls["assemble_system"] == sum(h.iterations + 1 for h in sol.history) == 74
+    assert calls["assemble_residual"] == sum(h.residual_evals - 1 for h in sol.history) == 59
+    assert calls["assemble_system"] == sum(h.iterations + 1 for h in sol.history) == 67
 
 
 def test_line_search_starts_from_the_last_accepted_step():
@@ -627,7 +626,7 @@ def test_sweep_coarse_newton_iterations(monkeypatch):
         specs = [ProblemSpec(dom, gamma=1.0, source=float(lam)) for lam in lams]
         sols = continuation_solve(specs, RadialGrid.uniform(dom, 1000))
         assert not any(isinstance(sol, NonConvergence) for sol in sols)
-    assert sum(iterations) == 305
+    assert sum(iterations) == 290
 
 
 def _envelope_strengths(dim):
@@ -636,96 +635,55 @@ def _envelope_strengths(dim):
     return [0.5 * dim, 0.9 * dim, 1.1 * dim] + [dim + k for k in range(1, 11)]
 
 
-# the points of the M = 1000 slice that must converge and pass verify.  Dim 1
-# at lam = 10 passes as well; the others fail the equation verdict (dim 1: 3,
-# 9, 11)
-_ENVELOPE_M1000 = {
-    1: (0.5, 0.9, 1.1, 2, 4, 5, 6, 7, 8),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-}
-
-
-# the points of the M = 4000 slice that must converge and pass verify, all
-# grid-sequenced; climbed on M = 4000 alone 35 of them pass (not dim 2 at
-# 11).  The others fail the equation verdict (dim 1: 7, 9, 11)
-_ENVELOPE_M4000 = {
-    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 8, 10),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-}
-
-
-# the points of the M = 2000 slice that must converge and pass verify: 500
-# cells climb the whole ladder, then 2000 cells solve the last rung alone or,
-# where that attempt fails, the five rungs with p <= 1.0001.  Climbed on a
-# 2000-cell mesh alone 35 of them pass (not dim 2 at 11).  The others fail
-# the equation verdict (dim 1: 6, 9, 11)
-_ENVELOPE_M2000 = {
-    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 7, 8, 10),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-}
-
-
-# the points of the M = 8000 slice that must converge and pass verify: 500
-# cells climb the whole ladder, then 2000 and 8000 cells each solve the last
-# rung as on M = 2000.  From a 2000-cell coarse mesh 37 of them pass (not dim
-# 2 at 11).  The other fails the equation verdict (dim 1: 11)
-_ENVELOPE_M8000 = {
-    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-}
-
-
-# the points of the M = 20000 slice that must converge and pass verify: 312
-# cells climb the whole ladder, then 1250, 5000 and 20000 cells each solve
-# the last rung as on M = 2000.  From a 1250-cell coarse mesh the same 38 pass.
-# The other fails the equation verdict (dim 1: 11)
-_ENVELOPE_M20000 = {
-    1: (0.5, 0.9, 1.1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-    2: (1.0, 1.8, 2.2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
-    3: (1.5, 2.7, 3.3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13),
-}
-
-
-def _certified(dim, mesh):
-    """The strengths of the envelope grid in dimension dim that converge and
-    pass verify on `mesh` cells, solved as one batch."""
-    dom = DomainSpec("ball", dim, 1.0)
+def _certified(dim, mesh, radius=1.0):
+    """The strengths lam R of the envelope grid in dimension dim whose
+    problems on the ball of radius R converge and pass verify on `mesh`
+    cells, solved as one batch: the source lam R / R has its lam R on the
+    unit-ball list."""
+    dom = DomainSpec("ball", dim, radius)
     grid = RadialGrid.uniform(dom, mesh)
-    specs = [ProblemSpec(dom, gamma=1.0, source=lam) for lam in _envelope_strengths(dim)]
+    lams = _envelope_strengths(dim)
+    specs = [ProblemSpec(dom, gamma=1.0, source=lam / radius) for lam in lams]
     certified = set()
-    for spec, sol in zip(specs, continuation_solve(specs, grid)):
+    for lam, spec, sol in zip(lams, specs, continuation_solve(specs, grid)):
         if not isinstance(sol, Exception) and verify(sol, spec, grid, Tolerances.for_solver()).passed:
-            certified.add(round(spec.source, 9))
+            certified.add(lam)
     return certified
 
 
+# every point of the envelope grid must converge and pass verify: on the unit
+# ball at M = 1000, 2000 and 4000 (M = 2000 and 4000 grid-sequenced from 500
+# and 1000 cells), at M = 8000 (500, then 2000 and 8000 cells) and 20000 (312,
+# then 1250, 5000 and 20000 cells), and on the ball of radius 2
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m1000_keeps_its_certified_points(dim):
-    assert _certified(dim, 1000) >= set(_ENVELOPE_M1000[dim])
+    assert _certified(dim, 1000) == set(_envelope_strengths(dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m2000_keeps_its_certified_points(dim):
-    assert _certified(dim, 2000) >= set(_ENVELOPE_M2000[dim])
+    assert _certified(dim, 2000) == set(_envelope_strengths(dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m4000_keeps_its_certified_points(dim):
-    assert _certified(dim, 4000) >= set(_ENVELOPE_M4000[dim])
+    assert _certified(dim, 4000) == set(_envelope_strengths(dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m8000_keeps_its_certified_points(dim):
-    assert _certified(dim, 8000) >= set(_ENVELOPE_M8000[dim])
+    assert _certified(dim, 8000) == set(_envelope_strengths(dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_m20000_keeps_its_certified_points(dim):
-    assert _certified(dim, 20000) >= set(_ENVELOPE_M20000[dim])
+    assert _certified(dim, 20000) == set(_envelope_strengths(dim))
+
+
+@pytest.mark.parametrize("mesh", [1000, 2000, 4000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radius_2_envelope_certifies_every_point(dim, mesh):
+    assert _certified(dim, mesh, radius=2.0) == set(_envelope_strengths(dim))
 
 
 def _tridiagonal(rng, m, pivoting):
