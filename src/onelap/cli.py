@@ -195,10 +195,14 @@ def _problem(kind, dim, radius, gamma, lam, mesh):
     return ProblemSpec(domain=domain, gamma=gamma, source=lam), RadialGrid.uniform(domain, mesh)
 
 
-def _write_bundle(base, problem: dict, spec, grid, u, z, residual, tol: Tolerances, meta: dict) -> VerificationReport:
-    """Certify (u, z) against `tol` and write the bundle; its metadata is
-    `meta`, the problem record and the verification report."""
-    rep = verify((u, z), spec, grid, tol)
+def _tolerances(meta: dict) -> Tolerances:
+    return Tolerances.for_solver() if meta.get("generator") == "solver" else Tolerances()
+
+
+def _write_bundle(base, problem: dict, spec, grid, u, z, residual, meta: dict) -> VerificationReport:
+    """Certify (u, z) and write the bundle; its metadata is `meta`, the
+    problem record and the verification report."""
+    rep = verify((u, z), spec, grid, _tolerances(meta))
     main_path, _, _ = io.write_solution(base, grid, u, z, residual, {**meta, **problem, **_report_payload(rep)})
     print(f"wrote {main_path} (+ _flux.csv, .meta.json)")
     return rep
@@ -244,7 +248,7 @@ def cmd_solve(args) -> int:
     }
     if failed_rung is not None:
         meta["failed_rung"] = failed_rung
-    rep = _write_bundle(base, problem, spec, grid, end.u, end.z, end.residual, Tolerances.for_solver(), meta)
+    rep = _write_bundle(base, problem, spec, grid, end.u, end.z, end.residual, meta)
     print(
         f"sup norm {io.format_float(float(np.max(np.abs(end.u))))}, "
         f"plateau radius {io.format_float(rep.plateau_radius_estimate)}"
@@ -262,7 +266,7 @@ def cmd_oracle(args) -> int:
     residual = pointwise_residual((u, z), spec, grid)
     base = _resolve(args.output, f"oracle_{args.dim}d_lam{args.lam:g}_M{args.mesh}")
     meta = {"generator": "oracle", "schedule": None, "plateau_radius_exact": args.dim / args.lam}
-    rep = _write_bundle(base, problem, spec, grid, u, z, residual, Tolerances(), meta)
+    rep = _write_bundle(base, problem, spec, grid, u, z, residual, meta)
     _print_verdicts(rep)
     return 0 if rep.passed else 1
 
@@ -279,7 +283,7 @@ def cmd_verify(args) -> int:
     spec, grid = _problem(**problem)
     if not np.array_equal(rec.r, grid.nodes) or not np.array_equal(rec.flux_r, grid.midpoints):
         raise GridMismatch("stored abscissae do not match the grid in the metadata")
-    tol = Tolerances.for_solver() if meta.get("generator") == "solver" else Tolerances()
+    tol = _tolerances(meta)
     rep = verify((rec.u, rec.flux_z), spec, grid, tol)
     payload = {"input": str(args.input), "tolerances": tol, **_report_payload(rep)}
     if args.output is None:

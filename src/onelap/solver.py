@@ -176,13 +176,15 @@ class RadialGrid:
         mids = 0.5 * (nodes[1:] + nodes[:-1])
         faces = np.concatenate(([0.0], mids))  # inner faces of cells 0..M-1
         outer = np.concatenate((mids, [self.radius]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cell_w = (outer**n - faces**n) / (n * dr)
             mid_w = mids ** (n - 1)
-        # a cell volume W_i dr, a Jacobian divisor W_i dr^2 or a midpoint
-        # weight of 0 or inf would make the residual or the Newton step NaN
-        volumes = cell_w * dr
-        if not all(np.isfinite(w).all() and w.all() for w in (volumes, volumes * dr, mid_w)):
+            volumes = cell_w * dr
+            # row i of a rung's Jacobian sums to at most twice its midpoint
+            # weights times the peak phi' over W_i dr^2; that sum, W_i dr or a
+            # midpoint weight at 0 or inf would make the Newton step NaN
+            reach = 2.0 * _PEAK_SENSITIVITY * (np.append(0.0, mid_w[:-1]) + mid_w) / (volumes[:m] * dr)
+        if not all(np.isfinite(w).all() and w.all() for w in (volumes, reach, mid_w)):
             raise ValueError(f"dim {n} on a mesh of {m} cells of radius {self.radius!r} "
                              "puts the finite-volume weights out of float range")
         object.__setattr__(self, "spacing", dr)
@@ -729,11 +731,16 @@ def newton_solve(
     return BatchSolution(results=tuple(results), iterations=max(counts))
 
 
-def plateau_extent(grid: RadialGrid, u: np.ndarray, slope_floor: float = 1e-6) -> float:
+# a midpoint slope of at most this magnitude is flat: the plateau ends at the
+# first steeper one, and `verify` checks the pairing z . Du = |Du| on those
+SLOPE_FLOOR = 1e-6
+
+
+def plateau_extent(grid: RadialGrid, u: np.ndarray) -> float:
     """Radius of the flat core: the last node before the first midpoint whose
-    slope magnitude exceeds the floor, the full radius if none does."""
+    slope magnitude exceeds SLOPE_FLOOR, the full radius if none does."""
     D = np.diff(u) / grid.spacing
-    steep = np.nonzero(np.abs(D) > slope_floor)[0]
+    steep = np.nonzero(np.abs(D) > SLOPE_FLOOR)[0]
     if steep.size == 0:
         return grid.radius
     if steep[0] == 0:
@@ -977,18 +984,14 @@ class AprioriReport:
     gradient_mass: float
     absorption_mass: float
     source_mass: float
-    slack: float
     gradient_bound_ok: bool
     absorption_bound_ok: bool
 
 
-def apriori_bounds_report(
-    spec: ProblemSpec,
-    state: RegularizationState,
-    grid: RadialGrid,
-    u: np.ndarray,
-    slack: float = 0.05,
-) -> AprioriReport:
+_APRIORI_SLACK = 0.05
+
+
+def apriori_bounds_report(spec: ProblemSpec, state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> AprioriReport:
     pieces = _entry(spec, state, grid, u)  # the solver's own h_n(u) and q^p
     area = sphere_area(grid.dim)
     grad = gradient_mass(grid, pieces.u[0], state.p)
@@ -1000,12 +1003,11 @@ def apriori_bounds_report(
         source = lam * unit_ball_volume(grid.dim) * grid.radius**grid.dim
     else:
         source = float(area * np.sum(spec.source_values(grid.nodes) * vols))
-    budget = source * (1.0 + slack)
+    budget = source * (1.0 + _APRIORI_SLACK)
     return AprioriReport(
         gradient_mass=grad,
         absorption_mass=absorb,
         source_mass=source,
-        slack=slack,
         gradient_bound_ok=grad <= budget,
         absorption_bound_ok=absorb <= budget,
     )
@@ -1018,7 +1020,7 @@ def apriori_bounds_report(
 # at lam = 11), and the verifier's flux balance failed there.  The deep tail
 # is what collapses boundary layers of width (p-1) below mesh resolution,
 # which the rigidity and plateau tests rely on; the eps floor keeps plateau
-# slopes two decades under the slope floor used for plateau detection while
+# slopes two decades under SLOPE_FLOOR, which detects the plateau, while
 # staying coarse enough that float64 can still resolve the plateau flux
 # profile.  `continuation_solve` climbs this ladder and no other.
 LADDER = tuple(
@@ -1034,3 +1036,5 @@ LADDER = tuple(
 # the deep tail, which a strength climbs on a finer mesh when its nested
 # attempt at the last rung fails
 _TAIL = tuple(st for st in LADDER if st.p <= _DEEP_P)
+# the largest flux sensitivity of any rung, phi'(0) = eps^(p-2) (1e8 on the last)
+_PEAK_SENSITIVITY = max(st.eps ** (st.p - 2.0) for st in LADDER)

@@ -34,8 +34,8 @@ from . import oracle
 from .geometry import (cheeger_bounds, sobolev_constant, sphere_area,
                        unit_ball_volume)
 from .scalar import absorption_exact, remainder
-from .solver import (DiscreteSolution, ProblemSpec, RadialGrid, _centered_slopes,
-                     _fv_divergence, plateau_extent)
+from .solver import (SLOPE_FLOOR, DiscreteSolution, ProblemSpec, RadialGrid,
+                     _centered_slopes, _fv_divergence, plateau_extent)
 
 __all__ = [
     "Tolerances",
@@ -66,20 +66,22 @@ class GridMismatch(ValueError):
     """Candidate arrays do not fit the grid they are checked on."""
 
 
+# the budgets that no candidate relaxes: of the flux bound |z| <= 1, the
+# pairing z . Du = |Du|, the zero trace and the log-substitution inequality
+FIELD_BOUND = 2e-3
+PAIRING = 2e-3
+TRACE = 1e-12
+CHEEGER_SLACK = 1e-3
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Defect budgets for the verdicts.  The defaults are calibrated for
+    """The budgets that depend on the candidate's origin.  The defaults suit
     closed-form samplings, where every error is pure discretization; use
-    `for_solver` when the continuation schedule, not the mesh, limits
-    accuracy."""
+    `for_solver` when the continuation schedule, not the mesh, limits it."""
 
-    field_bound: float = 2e-3
-    pairing: float = 2e-3
     equation: float = 2e-3
-    trace: float = 1e-12
     energy: float = 1e-3
-    cheeger_slack: float = 1e-3
-    slope_floor: float = 1e-6
 
     @classmethod
     def for_solver(cls) -> "Tolerances":
@@ -157,9 +159,7 @@ def energy_identity_check(candidate, spec: ProblemSpec, grid: RadialGrid) -> flo
     return abs(lhs - rhs) / max(rhs, 1e-14)
 
 
-def logsub_cheeger_check(
-    candidate, spec: ProblemSpec, grid: RadialGrid, slack: float = 1e-3
-) -> LogSubstitutionReport:
+def logsub_cheeger_check(candidate, spec: ProblemSpec, grid: RadialGrid) -> LogSubstitutionReport:
     """The rigidity mechanism: with v = -log(1-u), the Cheeger inequality
     gives h(Omega) int v <= int |Dv| = lam int u, and v >= u pointwise."""
     lam = spec.constant_source
@@ -175,7 +175,7 @@ def logsub_cheeger_check(
     h = cheeger_bounds(spec.domain).exact
     lhs = h * _radial_integral(grid, v)
     rhs = lam * _radial_integral(grid, uc)
-    holds = lhs <= rhs * (1.0 + slack) + 1e-14
+    holds = lhs <= rhs * (1.0 + CHEEGER_SLACK) + 1e-14
     return LogSubstitutionReport(
         lhs=lhs, rhs=rhs, holds=bool(holds), pointwise_ok=bool(np.all(v >= uc))
     )
@@ -206,11 +206,9 @@ def pointwise_residual(candidate, spec: ProblemSpec, grid: RadialGrid) -> np.nda
     return residual
 
 
-def verify(candidate, spec: ProblemSpec, grid: RadialGrid, tol: Tolerances | None = None) -> VerificationReport:
+def verify(candidate, spec: ProblemSpec, grid: RadialGrid, tol: Tolerances = Tolerances()) -> VerificationReport:
     """Run every clause check on a candidate (DiscreteSolution, or a pair of
     nodal state and midpoint flux) and assemble the verdicts."""
-    if tol is None:
-        tol = Tolerances()
     if spec.domain.dim != grid.dim or spec.domain.radius != grid.radius:
         raise GridMismatch("problem domain and grid disagree")
     u, z = _unpack(candidate, grid)
@@ -220,7 +218,7 @@ def verify(candidate, spec: ProblemSpec, grid: RadialGrid, tol: Tolerances | Non
     field_defect = max(0.0, float(np.max(np.abs(z))) - 1.0)
 
     D = np.diff(u) / dr
-    live = np.abs(D) > tol.slope_floor
+    live = np.abs(D) > SLOPE_FLOOR
     if np.any(live):
         pairing_defect = float(np.max(np.abs(1.0 - z[live] * np.sign(D[live]))))
     else:
@@ -246,22 +244,18 @@ def verify(candidate, spec: ProblemSpec, grid: RadialGrid, tol: Tolerances | Non
     else:
         flux_balance_defect = math.inf
 
-    plateau = plateau_extent(grid, u, tol.slope_floor)
+    plateau = plateau_extent(grid, u)
 
     lam = spec.constant_source
     scalar_checks = float(spec.gamma) == 1.0 and lam is not None and subunit
     energy_gap = energy_identity_check((u, z), spec, grid) if scalar_checks else None
-    logsub = (
-        logsub_cheeger_check((u, z), spec, grid, tol.cheeger_slack)
-        if scalar_checks
-        else None
-    )
+    logsub = logsub_cheeger_check((u, z), spec, grid) if scalar_checks else None
 
     verdicts = {
-        "field_bound": field_defect <= tol.field_bound,
-        "pairing": pairing_defect <= tol.pairing,
+        "field_bound": field_defect <= FIELD_BOUND,
+        "pairing": pairing_defect <= PAIRING,
         "equation": flux_balance_defect <= tol.equation,
-        "trace": trace_value <= tol.trace,
+        "trace": trace_value <= TRACE,
         "energy": energy_gap <= tol.energy if energy_gap is not None else True,
         "log_substitution": (logsub.holds and logsub.pointwise_ok)
         if logsub is not None
@@ -291,14 +285,12 @@ class LevelSetRecord:
     holds: bool
 
 
-def level_set_decay_check(
-    candidate,
-    state,
-    spec: ProblemSpec,
-    grid: RadialGrid,
-    tol: float = 0.1,
-    levels: int = 9,
-) -> tuple:
+# the decay bound's levels, evenly spaced below max u, and its relative slack
+_LEVELS = 9
+_LEVEL_SLACK = 0.1
+
+
+def level_set_decay_check(candidate, state, spec: ProblemSpec, grid: RadialGrid) -> tuple:
     """Check the superlevel-set decay bound
     int (u-k)^+ <= (S(N,p) ||g||_N)^(1/(p-1)) |{u > k}|^(1 + 1/N)
     on a ladder of levels below max u.  Comparison happens in log space: in
@@ -331,8 +323,8 @@ def level_set_decay_check(
     vols = grid.cell_volumes()
     area = sphere_area(grid.dim)
     out = []
-    for j in range(1, levels + 1):
-        k = top * j / (levels + 1)
+    for j in range(1, _LEVELS + 1):
+        k = top * j / (_LEVELS + 1)
         tail = _radial_integral(grid, np.abs(remainder(np.clip(u, 0.0, None), k)))
         measure = float(area * np.sum(vols[np.clip(u, 0.0, None) > k]))
         if tail <= 0.0:
@@ -342,7 +334,7 @@ def level_set_decay_check(
         else:
             holds = math.log(tail) <= log_coef + area_factor * math.log(
                 measure
-            ) + math.log1p(tol)
+            ) + math.log1p(_LEVEL_SLACK)
         out.append(
             LevelSetRecord(
                 level=k, tail_mass=tail, superlevel_measure=measure, holds=bool(holds)

@@ -146,12 +146,12 @@ def test_criterion_5_apriori_and_level_set_bounds(interval_solve, rigidity_scan)
         for rung in sol.history:
             # a grid-sequenced solve climbs its first rungs on coarser meshes
             grid = RadialGrid.uniform(spec.domain, rung.u.size - 1)
-            rep = apriori_bounds_report(spec, rung.state, grid, rung.u, slack=0.05)
+            rep = apriori_bounds_report(spec, rung.state, grid, rung.u)
             assert rep.gradient_bound_ok and rep.absorption_bound_ok, (
                 spec.domain.kind, spec.constant_source, rung.state.p)
             checked += 1
             if grid.dim == 2 and rung.state.p < 2.0:
-                records = level_set_decay_check(rung, rung.state, spec, grid, tol=0.1)
+                records = level_set_decay_check(rung, rung.state, spec, grid)
                 live += bool(records)
                 assert all(rec.holds for rec in records), (
                     spec.constant_source, rung.state.p)

@@ -662,8 +662,10 @@ def test_unknown_config_key_is_bad_input(tmp_path, capsys, argv, config, key):
     (["oracle", "--dim", "400", "--lambda", "500", "--mesh", "64"], None),
     (["solve", "--dim", "200", "--lambda", "300", "--mesh", "64"], None),
     (["solve", "--dim", "150", "--radius", "200", "--lambda", "1", "--mesh", "64"], None),
-    # W_i dr^2, which divides the Jacobian's rows, underflows to 0
+    # W_i dr^2, which divides the Jacobian's rows, underflows to 0, or is
+    # so small that the last rung's flux sensitivity over it overflows
     (["solve", "--radius", "1e-320", "--lambda", "4", "--mesh", "64"], None),
+    (["solve", "--radius", "1e-150", "--lambda", "4", "--mesh", "64"], None),
 ])
 def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
     # JSON's Infinity reaches the code like the flag text "inf": both exit 1
@@ -696,12 +698,21 @@ def test_non_finite_numbers_are_bad_input(tmp_path, capsys, argv, config):
      "dim 150 on a mesh of 64 cells of radius 200.0 puts the finite-volume weights out of float range"),
     (["solve", "--radius", "1e-320", "--lambda", "4", "--mesh", "64"],
      "dim 1 on a mesh of 64 cells of radius 1e-320 puts the finite-volume weights out of float range"),
+    (["solve", "--radius", "1e-150", "--lambda", "4", "--mesh", "64"],
+     "dim 1 on a mesh of 64 cells of radius 1e-150 puts the finite-volume weights out of float range"),
 ], ids=["cheeger-dim", "smallness-dim", "cheeger-tiny-radius", "cheeger-huge-radius", "grid-underflow",
-        "grid-overflow", "grid-tiny-radius"])
+        "grid-overflow", "grid-tiny-radius", "grid-jacobian-overflow"])
 def test_out_of_range_errors_name_the_input(capsys, argv, error):
     # an overflow or an underflow says which flag, at which value, caused it
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_radius_a_decade_inside_float_range_solves_quietly(tmp_path, capsys):
+    # at radius 1e-148 on 64 cells every Jacobian row stays finite: the solve
+    # certifies the zero state with no warning, which the suite makes an error
+    assert cli.main(["solve", "--radius", "1e-148", "--lambda", "4", "--mesh", "64", "--output", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 _VERDICTS = "verdicts: field_bound={}, pairing={}, equation={}, trace=pass, energy={}, log_substitution=pass"

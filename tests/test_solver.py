@@ -97,13 +97,15 @@ def test_grid_weights_telescope():
         )
 
 
-@pytest.mark.parametrize("dim, radius, mesh", [(100, 1.0, 1000), (400, 1.0, 64), (150, 200.0, 64), (1, 1e-320, 64)])
+@pytest.mark.parametrize("dim, radius, mesh", [(100, 1.0, 1000), (400, 1.0, 64), (150, 200.0, 64), (1, 1e-320, 64),
+                                               (1, 1e-150, 64)])
 def test_grid_rejects_weights_out_of_float_range(dim, radius, mesh):
     # the innermost cell volume (dr/2)^N / N underflows to 0 at dims 100 and
     # 400, R^N overflows at dim 150 over radius 200, and the Jacobian's
-    # divisor W_i dr^2 underflows to 0 at radius 1e-320; any of these would
-    # turn the divergence or the Newton step into NaN, so the grid refuses
-    # them without a warning
+    # divisor W_i dr^2 underflows to 0 at radius 1e-320; at radius 1e-150 it
+    # is about 1e-304, and the last rung's flux sensitivity phi'(0), about
+    # 1e8, over it overflows; any of these would turn the divergence or the
+    # Newton step into NaN, so the grid refuses them without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^dim {dim} on a mesh of {mesh} cells of radius {radius!r} "):

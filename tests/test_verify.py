@@ -6,13 +6,17 @@ balance, the moving-region residual, and the energy gap are second order in
 the spacing, while the headline residual is first order (one kink row).
 """
 
+import dataclasses
 import importlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 from pytest import approx
 
+import onelap.verify as verify_module
+from onelap import solver
 from onelap.geometry import DomainSpec
 from onelap.solver import ProblemSpec, RadialGrid, RegularizationState
 from onelap.verify import (
@@ -133,13 +137,19 @@ def test_tolerances_govern_the_verdict():
 
 
 def test_solver_tolerances_relax_equation_and_energy():
+    # the two budgets that `for_solver` relaxes are the only settable ones;
+    # every other budget, and the slope floor, is one module constant
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["equation", "energy"]
     base = Tolerances()
-    assert base.field_bound == 2e-3 and base.equation == 2e-3
-    assert base.trace == 1e-12 and base.energy == 1e-3
+    assert base.equation == 2e-3 and base.energy == 1e-3
     relaxed = Tolerances.for_solver()
     assert relaxed.equation == 1e-2 and relaxed.energy == 2e-2
-    assert relaxed.field_bound == base.field_bound
-    assert relaxed.trace == base.trace
+    assert (verify_module.FIELD_BOUND, verify_module.PAIRING) == (2e-3, 2e-3)
+    assert verify_module.TRACE == 1e-12 and verify_module.CHEEGER_SLACK == 1e-3
+    assert verify_module.SLOPE_FLOOR is solver.SLOPE_FLOOR == 1e-6
+    # and the checks that took a tuning parameter take none
+    for check in (solver.plateau_extent, logsub_cheeger_check, level_set_decay_check, solver.apriori_bounds_report):
+        assert all(p.default is p.empty for p in inspect.signature(check).parameters.values())
 
 
 def test_state_touching_one_is_rejected_not_crashed():
