@@ -40,7 +40,6 @@ from .verify import (GridMismatch, Tolerances, VerificationReport,
 from .geometry import DomainSpec, cheeger_bounds, smallness_check, sobolev_constant_limit
 from .solver import (
     LADDER,
-    NonConvergence,
     ProblemSpec,
     RadialGrid,
     continuation_solve,
@@ -150,12 +149,13 @@ def _parse_lambdas(text: str) -> list:
 
 def _typed(what: str, value, kind):
     """`value` as `kind`; a mistyped value from a file is bad input, not a
-    crash, and so is a float that `int` would truncate (2.5 is not an int)."""
+    crash, and so is a float that `int` would truncate (2.5 is not an int)
+    and a JSON boolean, which `int` and `float` would read as 0 or 1."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (kind is int and isinstance(value, float) and out != value):
+    if out is None or isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
         raise _CliError(f"{what} is not a {kind.__name__}: {value!r}")
     return out
 
@@ -213,12 +213,11 @@ def cmd_solve(args) -> int:
                "lam": args.lam, "mesh": args.mesh}
     spec, grid = _problem(**problem)
     base = _resolve(args.output, f"solve_{args.domain}{args.dim}_lam{args.lam:g}_M{args.mesh}")
-    failed_rung = None
-    try:
-        sol = continuation_solve(spec, grid)
-    except NonConvergence as exc:
-        print(f"continuation {exc.last.stop_reason} at rung {exc.rung}: {exc}", file=sys.stderr)
-        sol, failed_rung = exc.last, exc.rung
+    sol = continuation_solve(spec, grid)
+    # a failed run's history ends with the rung it failed
+    failed_rung = None if sol.converged else len(sol.history) - 1
+    if failed_rung is not None:
+        print(f"continuation {sol.stop_reason} at rung {failed_rung}: {sol.failure}", file=sys.stderr)
     # a failed run writes its last converged rung; one that failed at rung 0
     # has none, and writes the failed iterate
     end = sol.history[failed_rung - 1] if failed_rung else sol
@@ -334,9 +333,9 @@ def cmd_sweep(args) -> int:
         grid = RadialGrid.uniform(domain, args.mesh)
         specs = [ProblemSpec(domain=domain, gamma=args.gamma, source=lam) for lam in lams]
         results = continuation_solve(specs, grid)
-        failed = [(lam, sol) for lam, sol in zip(lams, results) if isinstance(sol, NonConvergence)]
+        failed = [(lam, sol) for lam, sol in zip(lams, results) if not sol.converged]
         for lam, sol in failed:
-            print(f"lambda={lam:g} {sol.last.stop_reason} at rung {sol.rung}", file=sys.stderr)
+            print(f"lambda={lam:g} {sol.stop_reason} at rung {len(sol.history) - 1}", file=sys.stderr)
         if failed:
             return 2
         reports = {}

@@ -47,7 +47,6 @@ __all__ = [
     "RadialGrid",
     "DiscreteSolution",
     "AprioriReport",
-    "NonConvergence",
     "BatchSolution",
     "regularized_flux",
     "regularized_flux_prime",
@@ -66,23 +65,14 @@ SourceTerm = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
 # the stop reasons on which a strength fails its rung, with what its
-# NonConvergence says of each: Newton ran out of iterations or line search
-# ("stalled"), or its banded solve was singular or gave a non-finite step
+# `DiscreteSolution.failure` says of each: Newton ran out of iterations or
+# line search ("stalled"), or its banded solve was singular or gave a
+# non-finite step
 _FAILED = {
     "stalled": "Newton stalled",
     "singular": "singular Jacobian",
     "non_finite": "non-finite Newton step",
 }
-
-
-class NonConvergence(RuntimeError):
-    """Newton failed a rung; carries the last iterate, whose stop_reason
-    says why, so callers can still write a report."""
-
-    def __init__(self, message, last=None, rung=None):
-        super().__init__(message)
-        self.last = last
-        self.rung = rung
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,9 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class DiscreteSolution:
-    """Nodal state, midpoint flux, and nodal residual for one rung."""
+    """Nodal state, midpoint flux, and nodal residual for one rung.  A rung
+    that failed is a solution too: its stop_reason says why, and it holds
+    the last iterate."""
 
     u: np.ndarray
     z: np.ndarray
@@ -220,6 +212,14 @@ class DiscreteSolution:
     @property
     def converged(self) -> bool:
         return self.stop_reason not in _FAILED
+
+    @property
+    def failure(self) -> str | None:
+        """Why the rung failed, at what residual and with which rung
+        parameters; None when it converged."""
+        st = self.state
+        return None if self.converged else (
+            f"{_FAILED[self.stop_reason]} at residual {self.residual_norm:.3e} (p={st.p}, n={st.n}, eps={st.eps})")
 
 
 def regularized_flux(s, p: float, eps: float):
@@ -562,20 +562,12 @@ def _newton_steps(ab: np.ndarray, residual: np.ndarray):
     return step, failed
 
 
-def _one(result):
-    """The K=1 case of a batched result: the solution, or its
-    NonConvergence raised."""
-    if isinstance(result, NonConvergence):
-        raise result
-    return result
-
-
 @dataclass(frozen=True)
 class BatchSolution:
     """One rung solved for K strengths at once.  `results` holds, in input
-    order, each strength's DiscreteSolution or the NonConvergence that ended
-    it alone; `iterations` is the largest per-strength iteration count, the
-    number of batched iterations."""
+    order, each strength's DiscreteSolution, converged or not;
+    `iterations` is the largest per-strength iteration count, the number of
+    batched iterations."""
 
     results: tuple
     iterations: int
@@ -618,17 +610,15 @@ def newton_solve(
 
     A strength fails its rung when it runs out of its max_iter iterations or
     meets a line search dead end ("stalled"), or when its banded solve is
-    singular ("singular") or gives a non-finite step ("non_finite").  It then
-    ends in NonConvergence, whose `last` is the DiscreteSolution at its last
-    iterate.
+    singular ("singular") or gives a non-finite step ("non_finite").  Its
+    DiscreteSolution then holds its last iterate, with that stop reason.
 
     Given K specs and u0 of shape (K, M+1), the K strengths iterate
     together: each iteration assembles and solves the strengths still
     iterating in one call each, while every strength keeps its own stop
     test, damping and backtracking.  A strength that converges waits; one
     that fails drops out alone.  The result is a BatchSolution.  One spec is
-    the K=1 case, on the same path: its DiscreteSolution is returned and its
-    NonConvergence raised.
+    the K=1 case, on the same path: its DiscreteSolution is returned.
 
     The strengths still iterating are one row set (`_Pieces`): a row holds
     its strength's index, state, residual and Jacobian pieces, the line
@@ -650,16 +640,16 @@ def newton_solve(
         """End the strengths in the rows `gone` of the row set after `its`
         iterations.  A row stops on "residual" when its max |residual| is at
         most _NEWTON_TOL, otherwise on the cause its exit names (one stop
-        reason for all rows, or one per row); a failing reason ends it in
-        NonConvergence.  Rows at the stagnation (or singular) and dead-end
-        exits failed the done test, whose allowance is at least _NEWTON_TOL,
-        so they keep their cause.  Returns the row set of the rows that stay."""
+        reason for all rows, or one per row).  Rows at the stagnation (or
+        singular) and dead-end exits failed the done test, whose allowance
+        is at least _NEWTON_TOL, so they keep their cause.  Returns the row
+        set of the rows that stay."""
         for j in np.flatnonzero(gone):
             i = pieces.rows[j]
             norm = float(np.abs(pieces.residual[j]).max())
             why = "residual" if norm <= _NEWTON_TOL else (cause if isinstance(cause, str) else cause[j])
             counts[i] = its
-            sol = DiscreteSolution(
+            results[i] = DiscreteSolution(
                 u=pieces.u[j].copy(),
                 z=regularized_flux(pieces.D[j], state.p, state.eps),
                 residual=pieces.residual[j].copy(),
@@ -669,12 +659,6 @@ def newton_solve(
                 residual_evals=int(evals[i]),
                 stop_reason=why,
             )
-            if why in _FAILED:
-                sol = NonConvergence(
-                    f"{_FAILED[why]} at residual {norm:.3e} (p={state.p}, n={state.n}, eps={state.eps})",
-                    last=sol,
-                )
-            results[i] = sol
         return pieces.take(~gone)
 
     pieces = _entry(spec, state, grid, u0)
@@ -727,7 +711,7 @@ def newton_solve(
     else:
         leave(np.ones(pieces.rows.size, dtype=bool), its, "stalled")
     if single:
-        return _one(results[0])
+        return results[0]
     return BatchSolution(results=tuple(results), iterations=max(counts))
 
 
@@ -877,8 +861,8 @@ def _climb(specs: tuple, rungs: tuple, grid: RadialGrid, u: np.ndarray,
     first, each climbing row carries its previous rung's core flux into the
     new rung's slopes (`_carry_core_flux`).  Returns, in
     input order, each strength's final solution, whose `history` holds its
-    rungs of this climb, or the NonConvergence, with its `rung` set and its
-    `last.history` running through that rung, that stopped it."""
+    rungs of this climb; for a strength that failed, that history runs
+    through the failed rung, its last entry."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
@@ -891,10 +875,8 @@ def _climb(specs: tuple, rungs: tuple, grid: RadialGrid, u: np.ndarray,
         batch = newton_solve(tuple(specs[i] for i in rows), st, grid, start, max_iter, max_trials)
         climbing = []
         for i, sol in zip(rows, batch.results):
-            if isinstance(sol, NonConvergence):
-                sol.rung = k
-                sol.last = replace(sol.last, history=(*histories[i], sol.last))
-                results[i] = sol
+            if not sol.converged:
+                results[i] = replace(sol, history=(*histories[i], sol))
                 continue
             u[i] = sol.u
             histories[i].append(sol)
@@ -910,8 +892,9 @@ def _climb(specs: tuple, rungs: tuple, grid: RadialGrid, u: np.ndarray,
 def continuation_solve(spec, grid: RadialGrid):
     """Climb LADDER in order, warm-starting each rung, and return the final
     rung's solution, whose `history` holds every rung's solution in the
-    order they were solved (that of a stall's NonConvergence.last ends with
-    the stalled rung).
+    order they were solved.  A strength that fails a rung returns that
+    rung's solution, whose `converged` is false; its history ends with the
+    failed rung, so that rung is `len(history) - 1` of LADDER.
 
     On a grid of 1200 cells or more the ladder is grid-sequenced (see
     `_meshes`): the coarsest mesh climbs the whole ladder, and each finer
@@ -930,10 +913,9 @@ def continuation_solve(spec, grid: RadialGrid):
 
     Given a sequence of K specs sharing the singular exponent, the strengths
     climb each mesh together, one batched `newton_solve` per rung, and the
-    result is a list in input order holding each strength's final solution
-    or the NonConvergence, with its `rung` set, that stopped it; the others
-    carry on.  One spec is the K=1 case: its solution is returned and its
-    NonConvergence raised.
+    result is a list in input order holding each strength's final solution,
+    converged or not; a strength that fails drops out and the others carry
+    on.  One spec is the K=1 case: its solution is returned.
     """
     specs = _strengths(spec)
     meshes = _meshes(grid.mesh_size)
@@ -954,11 +936,11 @@ def continuation_solve(spec, grid: RadialGrid):
                 u[:, -1] = 0.0  # the boundary node, exactly
                 out = _climb(tuple(specs[i] for i in rows), LADDER[-1:], fine, u, _NESTED_MAX_ITER, _NESTED_MAX_TRIALS)
                 # a failed attempt left its start in u
-                retry = [j for j, sol in enumerate(out) if isinstance(sol, NonConvergence)]
+                retry = [j for j, sol in enumerate(out) if not sol.converged]
                 if retry:
                     for j, sol in zip(retry, _climb(tuple(specs[rows[j]] for j in retry), _TAIL, fine, u[retry])):
                         out[j] = sol
-            kept = [j for j, sol in enumerate(out) if not isinstance(sol, NonConvergence)]
+            kept = [j for j, sol in enumerate(out) if sol.converged]
             for j in kept:
                 earlier[rows[j]] += out[j].history
             u = np.array([out[j].u for j in kept])
@@ -971,9 +953,7 @@ def continuation_solve(spec, grid: RadialGrid):
         u = np.zeros((len(again), grid.mesh_size + 1))
         for i, sol in zip(again, _climb(tuple(specs[i] for i in again), LADDER, grid, u)):
             results[i] = sol
-    if isinstance(spec, ProblemSpec):
-        return _one(results[0])
-    return results
+    return results[0] if isinstance(spec, ProblemSpec) else results
 
 
 @dataclass(frozen=True)

@@ -434,9 +434,9 @@ def test_stalled_solve_bundle_lists_the_rungs_through_the_failed_one(tmp_path, c
     assert f"plateau radius {io.format_float(written['plateau_radius'])}" in out
     # each rung's kernel evaluations, as the solver counted them, and the
     # arrays of the last converged rung
-    with pytest.raises(solver.NonConvergence) as exc:
-        solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), grid)
-    history = exc.value.last.history
+    stalled = solver.continuation_solve(ProblemSpec(DomainSpec("ball", 1), 1.0, 14.0), grid)
+    assert not stalled.converged and len(stalled.history) - 1 == meta["failed_rung"]
+    history = stalled.history
     assert [r["residual_evals"] for r in rungs] == [h.residual_evals for h in history]
     assert rec.u.tobytes() == history[-2].u.tobytes()
     assert rec.flux_z.tobytes() == history[-2].z.tobytes()
@@ -458,9 +458,9 @@ def test_solve_stalled_at_rung_0_writes_the_failed_iterate(tmp_path, capsys):
     assert (rung["iterations"], rung["stop_reason"], rung["mesh"]) == (solver._MAX_ITER, "stalled", 200)
     assert rung["residual_norm"] == meta["residual_norm"]
     dom = DomainSpec("ball", 1)
-    with pytest.raises(solver.NonConvergence) as exc:
-        continuation_solve(ProblemSpec(dom, 0.3, 8.0), RadialGrid.uniform(dom, 200))
-    assert io.read_solution(tmp_path / "stall").u.tobytes() == exc.value.last.u.tobytes()
+    stalled = continuation_solve(ProblemSpec(dom, 0.3, 8.0), RadialGrid.uniform(dom, 200))
+    assert not stalled.converged and len(stalled.history) - 1 == 0
+    assert io.read_solution(tmp_path / "stall").u.tobytes() == stalled.u.tobytes()
     assert cli.main(["verify", "--input", str(tmp_path / "stall")]) == 1
 
 
@@ -526,10 +526,10 @@ def test_solve_singular_at_a_later_rung_writes_the_rung_before(tmp_path, capsys,
     meta = io.read_json(tmp_path / "sol.meta.json")
     assert (meta["stop_reason"], meta["converged"], meta["failed_rung"]) == ("singular", False, 2)
     assert [r["stop_reason"] for r in meta["rungs"]][2:] == ["singular"]
-    with pytest.raises(solver.NonConvergence) as exc:
-        continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0),
-                           RadialGrid.uniform(DomainSpec("interval", 1), 100))
-    history = exc.value.last.history
+    failed = continuation_solve(ProblemSpec(DomainSpec("interval", 1), 1.0, 4.0),
+                                RadialGrid.uniform(DomainSpec("interval", 1), 100))
+    assert not failed.converged and len(failed.history) - 1 == 2
+    history = failed.history
     assert [h.stop_reason for h in history][2:] == ["singular"] and history[2].iterations == 0
     assert meta["residual_norm"] == meta["rungs"][1]["residual_norm"] == history[1].residual_norm
     rec = io.read_solution(tmp_path / "sol")
@@ -561,7 +561,8 @@ def test_verify_bundle_off_its_grid_exits_one(tmp_path, capsys, table):
 
 @pytest.mark.parametrize("key, value", [("kind", _MISSING), ("dim", _MISSING), ("mesh", _MISSING),
                                         ("lam", _MISSING), ("lam", None), ("dim", [1]), ("dim", math.inf),
-                                        ("dim", 1.5), ("mesh", 100.5)])
+                                        ("dim", 1.5), ("mesh", 100.5), ("dim", True), ("gamma", True),
+                                        ("lam", True)])
 def test_verify_malformed_bundle_exits_one(tmp_path, capsys, key, value):
     assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "100",
                      "--output", str(tmp_path / "orc")]) == 0
