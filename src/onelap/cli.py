@@ -2,7 +2,8 @@
 
 Exit status contract
     0   success; for solve/oracle/verify, additionally all verdicts true
-    1   invalid flags, domain or bundle, or a verdict failed
+    1   invalid flags, domain or bundle, a size too large to allocate, or
+        a verdict failed
     2   continuation did not converge: Newton stalled, or its banded solve
         was singular or gave a non-finite step; solve still writes the last
         converged rung, with the stop reason and the failed rung
@@ -444,7 +445,7 @@ def main(argv=None) -> int:
             subs[args.command].set_defaults(**cfg)
             args = ap.parse_args(argv)  # explicit flags still win
         return _DISPATCH[args.command](args)
-    except (_CliError, ValueError, OSError, OverflowError) as exc:
+    except (_CliError, ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -278,33 +278,23 @@ def read_csv(path) -> tuple:
 
 
 def _jsonable(obj):
+    """What `json` cannot encode, as something it can; it walks what this
+    returns, so nested values come back here."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+        return dict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def json_text(payload) -> str:
     """The JSON text of `payload`: sorted keys, two-space indent, no final
     newline."""
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
 
 
 def write_json(path, payload) -> Path:

@@ -4,10 +4,11 @@ The model equation couples a degenerate diffusion flux with an absorption
 coefficient 1/(1-s)^gamma that blows up as the state approaches 1.  The
 solver never evaluates that singular coefficient directly; it works with a
 bounded, continuous surrogate (``absorption_truncated``) indexed by a level
-n, which increases to the exact coefficient as n grows.  The primitives of
-the exact coefficient (and of its p-th root) decide whether the singularity
-acts as a barrier keeping states strictly below 1, so they get closed forms
-here as well.
+n, which increases to the exact coefficient as n grows.  The primitive of
+the p-th root of the exact coefficient, which is the exact coefficient's
+own primitive at exponent gamma/p, decides whether the singularity acts as
+a barrier keeping states strictly below 1, so it gets a closed form here
+as well.
 
 All functions accept floats or numpy arrays and return the matching kind.
 """
@@ -27,8 +28,8 @@ __all__ = [
     "root_primitive_unbounded",
 ]
 
-# Relative window used to route gamma ~ 1 (resp. gamma ~ p) onto the
-# logarithmic branch of the primitives instead of the power branch.
+# Relative window used to route gamma ~ 1 (gamma/p ~ 1 for the root
+# primitive) onto the logarithmic branch instead of the power branch.
 BRANCH_WINDOW = 1e-12
 
 
@@ -69,7 +70,7 @@ def remainder(s, k):
     """Part of s cut away by truncation at height k, so that
     truncate(s, k) + remainder(s, k) reassembles s."""
     a, scalar = _as_array(s)
-    return _ret(a - np.clip(a, -float(k), float(k)), scalar)
+    return _ret(a - truncate(a, k), scalar)
 
 
 def _branch_inverse(a, nf: float, g: float):
@@ -165,33 +166,23 @@ def absorption_primitive(s, gamma):
     return _ret(out, scalar)
 
 
-def root_absorption_primitive(t, gamma, p):
-    """Integral from 0 to t of the p-th root of the exact coefficient,
-    i.e. of (1-s)^(-gamma/p).
-
-    Logarithmic branch when gamma = p (within a relative window), power
-    branch otherwise.  Unbounded on [0, 1) exactly when gamma >= p, which is
-    the barrier condition keeping approximating states below 1.
-    """
-    g = _check_gamma(gamma)
+def _check_root(p) -> float:
     pf = float(p)
     if not pf > 1.0:
         raise ValueError(f"root exponent must exceed 1, got {p!r}")
-    a, scalar = _as_array(t)
-    if np.any(a < 0.0) or np.any(a >= 1.0):
-        raise ValueError("primitive requires 0 <= t < 1")
-    ratio = g / pf
-    if abs(ratio - 1.0) <= BRANCH_WINDOW:
-        out = -np.log1p(-a)
-    else:
-        out = np.expm1((1.0 - ratio) * np.log1p(-a)) / (ratio - 1.0)
-    return _ret(out, scalar)
+    return pf
+
+
+def root_absorption_primitive(t, gamma, p):
+    """Integral from 0 to t of the p-th root of the exact coefficient,
+    i.e. of (1-s)^(-gamma/p): the primitive Psi at exponent gamma/p.
+
+    Unbounded on [0, 1) exactly when gamma >= p, which is the barrier
+    condition keeping approximating states below 1.
+    """
+    return absorption_primitive(t, _check_gamma(gamma) / _check_root(p))
 
 
 def root_primitive_unbounded(gamma, p) -> bool:
     """True when ``root_absorption_primitive`` diverges as t -> 1."""
-    g = _check_gamma(gamma)
-    pf = float(p)
-    if not pf > 1.0:
-        raise ValueError(f"root exponent must exceed 1, got {p!r}")
-    return g >= pf
+    return _check_gamma(gamma) >= _check_root(p)

@@ -54,7 +54,6 @@ __all__ = [
     "assemble_system",
     "newton_solve",
     "continuation_solve",
-    "reconstruct_flux",
     "plateau_extent",
     "gradient_mass",
     "apriori_bounds_report",
@@ -463,13 +462,6 @@ def assemble_system(spec, state: RegularizationState, grid: RadialGrid, u: np.nd
     return pieces.residual.reshape(np.shape(u)[:-1] + (-1,)), pieces.jacobian()
 
 
-def reconstruct_flux(state: RegularizationState, grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Midpoint flux z_{i+1/2} = phi(D_{i+1/2}), the discrete stand-in for
-    |Du|^(p-2) Du whose p -> 1 limit is the certifying field."""
-    u = _check_iterate(grid, u)
-    return regularized_flux(np.diff(u) / grid.spacing, state.p, state.eps)
-
-
 def _row_allowance(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Smallest residual each row can express: moving one unknown by an ulp
     changes row i by up to rowsum|J_i| ulp(u).  On plateau rows the flux
@@ -627,10 +619,8 @@ def newton_solve(
     with one `_Pieces.take`.
     """
     specs = _strengths(spec)
-    single = isinstance(spec, ProblemSpec)
     m = grid.mesh_size
     results = [None] * len(specs)
-    counts = [0] * len(specs)
     # per strength: the alpha its last line search accepted, and its kernel
     # evaluations so far
     last_alpha = np.ones(len(specs))
@@ -648,7 +638,6 @@ def newton_solve(
             i = pieces.rows[j]
             norm = float(np.abs(pieces.residual[j]).max())
             why = "residual" if norm <= _NEWTON_TOL else (cause if isinstance(cause, str) else cause[j])
-            counts[i] = its
             results[i] = DiscreteSolution(
                 u=pieces.u[j].copy(),
                 z=regularized_flux(pieces.D[j], state.p, state.eps),
@@ -710,9 +699,9 @@ def newton_solve(
         _, ab = assemble_system(tuple(specs[i] for i in pieces.rows), state, grid, pieces.u, pieces=pieces)
     else:
         leave(np.ones(pieces.rows.size, dtype=bool), its, "stalled")
-    if single:
+    if isinstance(spec, ProblemSpec):
         return results[0]
-    return BatchSolution(results=tuple(results), iterations=max(counts))
+    return BatchSolution(results=tuple(results), iterations=max(r.iterations for r in results))
 
 
 # a midpoint slope of at most this magnitude is flat: the plateau ends at the
@@ -727,8 +716,6 @@ def plateau_extent(grid: RadialGrid, u: np.ndarray) -> float:
     steep = np.nonzero(np.abs(D) > SLOPE_FLOOR)[0]
     if steep.size == 0:
         return grid.radius
-    if steep[0] == 0:
-        return 0.0
     return float(grid.nodes[steep[0]])
 
 
@@ -855,30 +842,29 @@ def _climb(specs: tuple, rungs: tuple, grid: RadialGrid, u: np.ndarray,
     """Climb the rungs, a tuple of RegularizationStates, in order on one
     grid from the states u, shape (K, M+1), warm-starting each rung: one
     batched `newton_solve` per rung, of at most max_iter iterations whose
-    line searches take at most max_trials trials.  A row of u is
-    overwritten by each rung its strength converges, so a strength that
-    fails its first rung leaves its start in u.  Before every rung but the
-    first, each climbing row carries its previous rung's core flux into the
-    new rung's slopes (`_carry_core_flux`).  Returns, in
-    input order, each strength's final solution, whose `history` holds its
-    rungs of this climb; for a strength that failed, that history runs
-    through the failed rung, its last entry."""
+    line searches take at most max_trials trials.  The first rung starts
+    from u, which is never written; every later one from the solution of
+    the rung before, whose core flux each climbing row carries into the new
+    rung's slopes (`_carry_core_flux`).  Returns, in input order, each
+    strength's final solution, whose `history` holds its rungs of this
+    climb; for a strength that failed, that history runs through the failed
+    rung, its last entry."""
     histories = [[] for _ in specs]
     results = [None] * len(specs)
     rows = list(range(len(specs)))  # strengths still climbing
     for k, st in enumerate(rungs):
-        start = u[rows]
+        start = u
         if k:
             # the previous rung's core slopes are 10-30 times too steep for
             # this (p, eps), and from them Newton crawls on short steps
-            start = _carry_core_flux(start, np.array([histories[i][-1].z for i in rows]), st, grid.spacing)
+            last = [histories[i][-1] for i in rows]
+            start = _carry_core_flux(np.array([s.u for s in last]), np.array([s.z for s in last]), st, grid.spacing)
         batch = newton_solve(tuple(specs[i] for i in rows), st, grid, start, max_iter, max_trials)
         climbing = []
         for i, sol in zip(rows, batch.results):
             if not sol.converged:
                 results[i] = replace(sol, history=(*histories[i], sol))
                 continue
-            u[i] = sol.u
             histories[i].append(sol)
             climbing.append(i)
         rows = climbing
@@ -935,7 +921,6 @@ def continuation_solve(spec, grid: RadialGrid):
                 u = np.array([np.interp(fine.nodes, coarse.nodes, v) for v in u])
                 u[:, -1] = 0.0  # the boundary node, exactly
                 out = _climb(tuple(specs[i] for i in rows), LADDER[-1:], fine, u, _NESTED_MAX_ITER, _NESTED_MAX_TRIALS)
-                # a failed attempt left its start in u
                 retry = [j for j, sol in enumerate(out) if not sol.converged]
                 if retry:
                     for j, sol in zip(retry, _climb(tuple(specs[rows[j]] for j in retry), _TAIL, fine, u[retry])):

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -132,6 +133,20 @@ def test_json_round_trip_handles_numpy_and_dataclasses(tmp_path):
     assert back["tol"]["equation"] == 2e-3
     with pytest.raises(TypeError, match="serialize"):
         io.write_json(tmp_path / "bad.json", {"s": {1, 2}})
+
+
+def test_json_text_of_every_leaf_type():
+    # each type `json` cannot encode itself, nested where no CLI payload puts it
+    payload = {"b": np.bool_(True), "i": np.int64(3), "f": np.float32(0.1),
+               "a": np.arange(4.0).reshape(2, 2), "t": (1, 2.5), "p": Path("x/y"),
+               "d": Tolerances(), "m": types.MappingProxyType({"k": np.float64(0.1)})}
+    assert io.json_text(payload) == (
+        '{\n  "a": [\n    [\n      0.0,\n      1.0\n    ],\n    [\n      2.0,\n      3.0\n    ]\n  ],\n'
+        '  "b": true,\n  "d": {\n    "energy": 0.001,\n    "equation": 0.002\n  },\n'
+        '  "f": 0.10000000149011612,\n  "i": 3,\n  "m": {\n    "k": 0.1\n  },\n'
+        '  "p": "x/y",\n  "t": [\n    1,\n    2.5\n  ]\n}')
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        io.json_text({"o": object()})
 
 
 def test_nodal_flux_endpoints():
@@ -707,6 +722,34 @@ def test_out_of_range_errors_name_the_input(capsys, argv, error):
     # an overflow or an underflow says which flag, at which value, caused it
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+_UNALLOCATABLE = "100000000000000000"  # 1e17 cells, 711 PiB per float64 array
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lambda", "4", "--mesh", _UNALLOCATABLE],
+    ["oracle", "--lambda", "4", "--mesh", _UNALLOCATABLE],
+    ["sweep", "--lambdas", "4", "--samples", _UNALLOCATABLE],
+    ["sweep", "--mode", "solver", "--lambdas", "4", "--mesh", _UNALLOCATABLE],
+    ["verify"],
+], ids=["solve", "oracle", "sweep-oracle", "sweep-solver", "verify"])
+def test_unallocatable_size_is_one_error_line(tmp_path, capsys, argv):
+    # no address space holds the arrays, so numpy refuses at once
+    if argv == ["verify"]:
+        assert cli.main(["oracle", "--dim", "1", "--lambda", "2", "--mesh", "64",
+                         "--output", str(tmp_path / "orc")]) == 0
+        meta = io.read_json(tmp_path / "orc.meta.json")
+        meta["mesh"] = int(_UNALLOCATABLE)
+        io.write_json(tmp_path / "orc.meta.json", meta)
+        argv = ["verify", "--input", str(tmp_path / "orc")]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+    assert "Traceback" not in out + err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_radius_a_decade_inside_float_range_solves_quietly(tmp_path, capsys):

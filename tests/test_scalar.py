@@ -40,6 +40,14 @@ def test_truncate_rejects_negative_height():
         truncate(1.0, -0.5)
 
 
+@pytest.mark.parametrize("k", [-0.5, float("nan")])
+def test_remainder_rejects_a_height_truncate_rejects(k):
+    with pytest.raises(ValueError):
+        truncate(1.0, k)
+    with pytest.raises(ValueError):
+        remainder(1.0, k)
+
+
 @given(
     s=st.floats(allow_nan=False, allow_infinity=False),
     k=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
@@ -236,6 +244,18 @@ def test_root_primitive_closed_forms():
         3.0, rel=1e-14
     )
     assert root_absorption_primitive(0.75, 1.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_root_primitive_is_the_primitive_at_gamma_over_p():
+    t = np.array([0.0, 0.1, 0.5, 0.9, 0.999])
+    for gamma in (0.3, 1.0, 1.5, 2.0, 4.0):
+        for p in (1.0001, 1.1, 1.5, 2.0, 3.0):
+            want = absorption_primitive(t, gamma / p)
+            np.testing.assert_array_equal(root_absorption_primitive(t, gamma, p), want)
+            for tt in t:
+                assert root_absorption_primitive(tt, gamma, p) == absorption_primitive(tt, gamma / p)
+    # gamma = p lands on the logarithmic branch
+    assert root_absorption_primitive(0.5, 1.5, 1.5) == -math.log1p(-0.5)
 
 
 def test_primitive_domains():
